@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from configparser import ConfigParser
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -334,14 +333,6 @@ def parse_config(text: str, base: ExperimentSpec | None = None) -> ExperimentSpe
 # sweep evaluation
 
 
-def _pool_map(fn, values):
-    workers = min(8, os.cpu_count() or 1)
-    if workers <= 1 or len(values) <= 1:
-        return [fn(v) for v in values]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, values))
-
-
 def _type_range(ba: BandwidthConfig) -> range:
     return range(1, ba.n_chunks + 1)
 
@@ -355,7 +346,7 @@ def _success_table(spec: ExperimentSpec):
         per_type = [success_prob_k(net, ba, k, theta) for k in _type_range(ba)]
         return [theta_db, *per_type, success_prob_overall(net, ba, theta)]
 
-    return header, _pool_map(row, list(spec.sweep.values()))
+    return header, [row(v) for v in spec.sweep.values()]
 
 
 def _meta_table(spec: ExperimentSpec):
@@ -374,7 +365,7 @@ def _meta_table(spec: ExperimentSpec):
         )
         return [x, spec.theta_db, *per_type, overall]
 
-    return header, _pool_map(row, list(spec.sweep.values()))
+    return header, [row(v) for v in spec.sweep.values()]
 
 
 def _throughput_lambda_table(spec: ExperimentSpec, per_joule_only: bool):
@@ -394,7 +385,7 @@ def _throughput_lambda_table(spec: ExperimentSpec, per_joule_only: bool):
             return [lam, *joules]
         return [lam, *rates, *joules]
 
-    return header, _pool_map(row, list(spec.sweep.values()))
+    return header, [row(v) for v in spec.sweep.values()]
 
 
 def _throughput_type_table(spec: ExperimentSpec):
@@ -437,7 +428,7 @@ def _throughput_type_table(spec: ExperimentSpec):
                 shannon_throughput_per_joule_k(net, ba, k).value,
             ]
 
-    return header, _pool_map(row, ks)
+    return header, [row(k) for k in ks]
 
 
 def _mean_model_table(spec: ExperimentSpec):
@@ -483,7 +474,7 @@ def _mean_model_table(spec: ExperimentSpec):
                 alt_val = shannon_throughput_overall(alt_net, alt_ba).value
             return [lam, base_val, alt_val, matched.power, lam * intensity_ratio]
 
-    return header, _pool_map(row, list(spec.sweep.values()))
+    return header, [row(v) for v in spec.sweep.values()]
 
 
 def _simulate_table(spec: ExperimentSpec):
@@ -528,13 +519,6 @@ def run_experiment(spec: ExperimentSpec):
     if spec.metric is Metric.SIMULATE:
         return _simulate_table(spec)
     raise ConfigError(f"unsupported metric {spec.metric}")
-
-
-def compare_mean_model(spec: ExperimentSpec):
-    """Mean-model comparison table; spec.metric must be mean_model."""
-    if spec.metric is not Metric.MEAN_MODEL:
-        raise ConfigError("compare_mean_model needs a mean_model spec")
-    return _mean_model_table(spec)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,18 @@ probability generating functional as a single radial integral; inverting the
 imaginary-order moments recovers the full distribution, and matching two
 real moments to a beta law gives a cheap approximation.
 
+The inversion (Gil-Pelaez) integrates Im(e^{-ju ln x} M(ju))/u over u >= 0 on
+a grid that is built once per (network, allocation, k, theta) and shared by
+every reliability threshold x. The grid is a composite Gauss-Legendre rule on
+u panels of fixed width. It extends panel by panel until |M(ju)| stays below
+a fixed cutoff on a whole panel; the cutoff does not depend on x. Each value
+is computed on two levels, with n and 2n nodes per panel, and once more with
+4n nodes where those disagree (small x oscillates faster, at rate |ln x|).
+When the two finest levels still disagree, or when |M(ju)| has not fallen
+below the cutoff by a hard cap on u, the inversion raises
+``OscillatoryIntegrationError`` and names the gap or the tail size, and
+``meta_ccdf(method="auto")`` falls back to the beta fit.
+
 The per-interferer factor uses ``type_averaged_overlap``, the overlap law
 averaged over the typical user's chunk set. In random mode that is exact. In
 contiguous mode every interferer overlaps the same typical window, so the
@@ -16,7 +28,6 @@ moments here are the window-averaged approximation: unlike
 
 from __future__ import annotations
 
-import cmath
 import math
 from functools import lru_cache
 
@@ -28,12 +39,20 @@ from .allocation import _check_type, type_averaged_overlap
 from .errors import DomainError, IntegrationError, OscillatoryIntegrationError
 from .params import BandwidthConfig, NetworkParams
 
-#: Inversion integral settings: panel width, cutoff, and the tail size at
-#: which panel accumulation stops.
+#: Inversion grid: width of the u panels, Gauss-Legendre nodes per panel on
+#: the coarsest level, the |M(ju)| below which a panel ends the grid, the hard
+#: cap on u, and the largest gap between two levels that a value may show.
 _PANEL_WIDTH = 2.0
-_U_MAX = 200.0
-_PANEL_TAIL = 1e-7
-_MIN_U_BEFORE_STOP = 8.0
+_PANEL_NODES = 8
+_TAIL_CUTOFF = 1e-6
+_U_CAP = 1e4
+_LEVEL_TOL = 1e-8
+_N_LEVELS = 3
+
+#: Moments are evaluated in (u x radial node) blocks of at most this many
+#: entries, and the coarsest level grows this many panels at a time.
+_BLOCK_ENTRIES = 1 << 17
+_PANELS_PER_STEP = 32
 
 #: Variance below this is treated as a degenerate (point-mass) distribution.
 _DEGENERATE_VAR = 1e-14
@@ -53,11 +72,16 @@ def _check_theta(theta: float) -> float:
     return theta
 
 
-def _overlap_weights(ba: BandwidthConfig, k: int) -> np.ndarray:
-    return type_averaged_overlap(ba, k)
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only n-point Gauss-Legendre nodes and weights on [-1, 1]."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
-def _interference_discount(net, ba, k, theta, r, q=None):
+def _interference_discount(net, k, theta, r, q):
     """h(r) = sum_{t>=1} q_t (1 - 1/(1 + theta (t/k) l(r)/l(R))), in [0, 1).
 
     The per-interferer factor of the conditional success probability is
@@ -65,8 +89,6 @@ def _interference_discount(net, ba, k, theta, r, q=None):
     exact: rounding in the overlap weights must not leave a constant residue
     in log(1 - h), where the compactified radial weights would amplify it.
     """
-    if q is None:
-        q = _overlap_weights(ba, k)
     ts = np.arange(1, k + 1, dtype=float)
     ratio = np.atleast_1d(
         np.asarray(net.pathloss.attenuation(r), dtype=float) / net.signal_attenuation()
@@ -77,35 +99,31 @@ def _interference_discount(net, ba, k, theta, r, q=None):
     return (q[1:, None] * frac).sum(axis=0)
 
 
-def _interferer_factor(net, ba, k, theta, r, q=None):
-    """Per-interferer mean attenuation factor of the conditional success
-    probability, at distance(s) r: sum_t q_t / (1 + theta (t/k) l(r)/l(R))."""
-    return 1.0 - _interference_discount(net, ba, k, theta, r, q=q)
-
-
 class _RadialProfile:
     """Gauss-Legendre discretization of the moment exponent's radial integral.
 
     The half-line is compactified with r = R tan(v); nodes are doubled until
     the exponent stabilizes on real and imaginary probe orders, so one grid
-    serves every moment order requested afterwards.
+    serves every moment order requested afterwards. The profile also holds
+    the inversion's u grid, built level by level on first use.
     """
 
     _PROBES = (1.0, 7.0j, 31.0j)
 
     def __init__(self, net: NetworkParams, ba: BandwidthConfig, k: int, theta: float):
-        self.net = net
         self.prefactor = 2.0 * math.pi * net.intensity
         r_link = net.link_distance
-        q = _overlap_weights(ba, k)
+        q = type_averaged_overlap(ba, k)
+        self._levels = [None] * _N_LEVELS
+        self._tail = math.inf
         prev = None
         for n_nodes in (256, 512, 1024, 2048, 4096):
-            nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+            nodes, weights = _gauss_legendre(n_nodes)
             v = (nodes + 1.0) * (math.pi / 4.0)
             w = weights * (math.pi / 4.0)
             r = r_link * np.tan(v)
             jac = r_link / np.cos(v) ** 2
-            discount = _interference_discount(net, ba, k, theta, r, q=q)
+            discount = _interference_discount(net, k, theta, r, q)
             self._log_factor = np.log1p(-discount)
             self._weight = w * r * jac
             probes = np.array([self.log_moment(b) for b in self._PROBES])
@@ -125,9 +143,90 @@ class _RadialProfile:
     def moment(self, b: complex) -> complex:
         return np.exp(self.log_moment(b))
 
-    def log_slope_at_zero(self) -> float:
-        """d/db of the moment exponent at b = 0 (a nonpositive real)."""
-        return float(self.prefactor * np.sum(self._log_factor * self._weight))
+    def _moment_polar(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """|M(ju)| and arg M(ju) at the real orders u, one bounded block of
+        (u x radial node) entries at a time."""
+        amp = np.empty(u.size)
+        arg = np.empty(u.size)
+        rows = max(1, _BLOCK_ENTRIES // self._log_factor.size)
+        for lo in range(0, u.size, rows):
+            half = np.multiply.outer(u[lo : lo + rows], 0.5 * self._log_factor)
+            s = np.sin(half)
+            c = np.cos(half, out=half)
+            # 1 - cos(t) = 2 sin(t/2)^2 and sin(t) = 2 sin(t/2) cos(t/2): no
+            # cancellation on the far tail, where t is tiny
+            c *= s
+            s *= s
+            amp[lo : lo + rows] = np.exp(-2.0 * self.prefactor * (s @ self._weight))
+            arg[lo : lo + rows] = 2.0 * self.prefactor * (c @ self._weight)
+        return amp, arg
+
+    def _inversion_level(self, level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Nodes u, weights w |M(ju)| / u and phases arg M(ju) of the
+        composite rule with _PANEL_NODES * 2**level nodes on each u panel,
+        built on first use. Level 0 fixes the panels, so it is built first;
+        finer levels reuse them.
+        """
+        if self._levels[level] is None:
+            n = _PANEL_NODES << level
+            if level == 0:
+                u, w, amp, arg = self._grow_coarsest(n)
+            else:
+                u, w = _panel_rule(n, 0, self._n_panels)
+                amp, arg = self._moment_polar(u)
+            self._levels[level] = (u, w * amp / u, arg)
+        return self._levels[level]
+
+    def _grow_coarsest(self, n: int) -> list[np.ndarray]:
+        """u, w, |M(ju)| and arg M(ju) of the n-point rule on panels added
+        until a whole panel has |M(ju)| below _TAIL_CUTOFF, or up to _U_CAP.
+        Records the panel count and the largest |M(ju)| on the last panel."""
+        n_cap = int(_U_CAP / _PANEL_WIDTH)
+        parts = []
+        for first in range(0, n_cap, _PANELS_PER_STEP):
+            rule = _panel_rule(n, first, min(_PANELS_PER_STEP, n_cap - first))
+            polar = self._moment_polar(rule[0])
+            peaks = polar[0].reshape(-1, n).max(axis=1)
+            below = np.flatnonzero(peaks < _TAIL_CUTOFF)
+            used = int(below[0]) + 1 if below.size else peaks.size
+            parts.append([a[: n * used] for a in (*rule, *polar)])
+            if below.size:
+                break
+        self._n_panels = first + used
+        self._tail = float(peaks[used - 1])
+        return [np.concatenate(a) for a in zip(*parts)]
+
+    def ccdf(self, x: float) -> float:
+        """Gil-Pelaez inversion at x in (0, 1), checked between grid levels."""
+        ln_x = math.log(x)
+        prev = None
+        for level in range(_N_LEVELS):
+            u, coef, arg = self._inversion_level(level)
+            if self._tail >= _TAIL_CUTOFF:
+                raise OscillatoryIntegrationError(
+                    f"inversion grid reached u = {_U_CAP:g} with |M(ju)| still "
+                    f"{self._tail:.3g} on its last panel"
+                )
+            # Im(e^{-ju ln x} M(ju)) = |M(ju)| sin(arg M(ju) - u ln x)
+            value = 0.5 + float(coef @ np.sin(arg - u * ln_x)) / math.pi
+            if prev is not None:
+                gap = abs(value - prev)
+                if gap <= _LEVEL_TOL:
+                    return min(1.0, max(0.0, value))
+            prev = value
+        raise OscillatoryIntegrationError(
+            f"inversion at x = {x:g}: the two finest grid levels differ by {gap:.3g}"
+        )
+
+
+def _panel_rule(n: int, first: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on each of the
+    u panels first, ..., first + count - 1."""
+    nodes, weights = _gauss_legendre(n)
+    half = 0.5 * _PANEL_WIDTH
+    lo = _PANEL_WIDTH * np.arange(first, first + count, dtype=float)
+    u = (lo[:, None] + half * (nodes + 1.0)[None, :]).ravel()
+    return u, np.tile(half * weights, count)
 
 
 @lru_cache(maxsize=64)
@@ -159,12 +258,12 @@ def moment_b_k(
 
     b_real = b.real
     r_link = net.link_distance
-    q = _overlap_weights(ba, k)
+    q = type_averaged_overlap(ba, k)
 
     def integrand(v: float) -> float:
         r = r_link * math.tan(v)
         jac = r_link / math.cos(v) ** 2
-        h = float(_interference_discount(net, ba, k, theta, r, q=q)[0])
+        h = float(_interference_discount(net, k, theta, r, q)[0])
         # 1 - (1 - h)^b without cancellation on the far tail
         return -math.expm1(b_real * math.log1p(-h)) * r * jac
 
@@ -178,7 +277,14 @@ def meta_ccdf_gilpelaez(
     net: NetworkParams, ba: BandwidthConfig, k: int, theta: float, x: float
 ) -> float:
     """P(conditional success probability > x) by inversion of the
-    imaginary-order moments: 1/2 + (1/pi) int_0^inf Im(e^{-ju ln x} M_ju)/u du."""
+    imaginary-order moments: 1/2 + (1/pi) int_0^inf Im(e^{-ju ln x} M_ju)/u du.
+
+    The integral runs on the profile's cached u grid (see the module
+    docstring), so every x after the first costs one dot product per level.
+    Raises ``OscillatoryIntegrationError`` when |M(ju)| has not fallen below
+    the tail cutoff by the cap on u, or when the two finest levels still
+    differ by more than the tolerance.
+    """
     theta = _check_theta(theta)
     k = _check_type(ba.n_chunks, k, "k")
     x = _check_x(x)
@@ -186,33 +292,7 @@ def meta_ccdf_gilpelaez(
         return 1.0
     if x == 1.0:
         return 0.0
-
-    profile = _profile(net, ba, k, theta)
-    ln_x = math.log(x)
-    slope = profile.log_slope_at_zero()
-
-    def integrand(u: float) -> float:
-        if u < 1e-8:
-            # series limit of Im(e^{-ju ln x} M_ju)/u at u = 0
-            return slope - ln_x
-        m = profile.moment(1j * u)
-        return (cmath.exp(-1j * u * ln_x) * m).imag / u
-
-    total = 0.0
-    u_lo = 0.0
-    while u_lo < _U_MAX:
-        out = integrate.quad(
-            integrand, u_lo, u_lo + _PANEL_WIDTH, epsabs=1e-9, limit=100, full_output=1
-        )
-        if len(out) > 3:
-            raise OscillatoryIntegrationError(
-                f"inversion integral failed on panel [{u_lo}, {u_lo + _PANEL_WIDTH}]: {out[3]}"
-            )
-        total += out[0]
-        u_lo += _PANEL_WIDTH
-        if abs(out[0]) < _PANEL_TAIL and u_lo >= _MIN_U_BEFORE_STOP:
-            break
-    return min(1.0, max(0.0, 0.5 + total / math.pi))
+    return _profile(net, ba, k, theta).ccdf(x)
 
 
 def beta_shape_parameters(

@@ -197,8 +197,10 @@ def shannon_throughput_per_hz_k(
     )
 
 
-def shannon_throughput_overall(net: NetworkParams, ba: BandwidthConfig) -> ThroughputResult:
-    """Throughput with the typical user's type averaged over the mix."""
+def _mix_average(net: NetworkParams, ba: BandwidthConfig, per_type) -> ThroughputResult:
+    """A per-type throughput function with the typical user's type averaged
+    over the mix: values and tail bounds weighted, the widest y_max, and
+    truncated if any type is."""
     value = 0.0
     tail = 0.0
     y_max = 0.0
@@ -206,28 +208,21 @@ def shannon_throughput_overall(net: NetworkParams, ba: BandwidthConfig) -> Throu
     for k, p_k in enumerate(ba.type_probs, start=1):
         if p_k == 0.0:
             continue
-        res = shannon_throughput_k(net, ba, k)
+        res = per_type(net, ba, k)
         value += p_k * res.value
         tail += p_k * res.tail_bound
         y_max = max(y_max, res.y_max)
         truncated = truncated or res.truncated
     return ThroughputResult(value, tail, y_max, truncated)
+
+
+def shannon_throughput_overall(net: NetworkParams, ba: BandwidthConfig) -> ThroughputResult:
+    """Throughput with the typical user's type averaged over the mix."""
+    return _mix_average(net, ba, shannon_throughput_k)
 
 
 def shannon_throughput_per_joule_overall(
     net: NetworkParams, ba: BandwidthConfig
 ) -> ThroughputResult:
     """Mix-averaged throughput per joule."""
-    value = 0.0
-    tail = 0.0
-    y_max = 0.0
-    truncated = False
-    for k, p_k in enumerate(ba.type_probs, start=1):
-        if p_k == 0.0:
-            continue
-        res = shannon_throughput_per_joule_k(net, ba, k)
-        value += p_k * res.value
-        tail += p_k * res.tail_bound
-        y_max = max(y_max, res.y_max)
-        truncated = truncated or res.truncated
-    return ThroughputResult(value, tail, y_max, truncated)
+    return _mix_average(net, ba, shannon_throughput_per_joule_k)

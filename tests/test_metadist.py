@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from bwalloc.allocation import overlap_pmf_random
-from bwalloc.errors import DomainError
+from bwalloc.errors import DomainError, OscillatoryIntegrationError
 from bwalloc.metadist import (
     beta_shape_parameters,
     meta_ccdf,
@@ -167,6 +167,42 @@ def test_gilpelaez_matches_empirical_cdf_of_conditional_probability():
         se = math.sqrt(max(emp * (1 - emp), 1e-6) / n_real)
         ana = meta_ccdf_gilpelaez(BOUNDED, UNIFORM3, k, theta, x)
         assert abs(emp - ana) < 3.5 * se
+
+
+@pytest.mark.parametrize(
+    "net, theta, k",
+    [(BOUNDED, THETA_MINUS5DB, 1), (BOUNDED, 1.0, 2), (POWER_LAW, 1.0, 1)],
+    ids=["bounded--5dB-k1", "bounded-0dB-k2", "power-law-0dB-k1"],
+)
+def test_gilpelaez_reproduces_real_moments_and_is_nonincreasing(net, theta, k):
+    # int_0^1 P(Ps > x) dx = E[Ps] and int_0^1 2x P(Ps > x) dx = E[Ps^2],
+    # on a 100-point Gauss-Legendre rule over x in (0, 1)
+    nodes, weights = np.polynomial.legendre.leggauss(100)
+    xs, ws = 0.5 * (nodes + 1.0), 0.5 * weights
+    ccdf = np.array([meta_ccdf_gilpelaez(net, UNIFORM3, k, theta, x) for x in xs])
+    assert abs(ws @ ccdf - moment_b_k(net, UNIFORM3, k, theta, 1.0)) < 5e-7
+    assert abs(ws @ (2.0 * xs * ccdf) - moment_b_k(net, UNIFORM3, k, theta, 2.0)) < 5e-7
+    assert np.all(np.diff(ccdf) <= 1e-7)
+
+
+def test_gilpelaez_reports_truncation_and_auto_falls_back_to_beta():
+    # so sparse that |M(ju)| is still about 0.63 at the cap on u
+    sparse = NetworkParams(1e-3, 1.0, PathLossModel.bounded(4.0, 1.0))
+    for x in (0.5, 0.9):
+        with pytest.raises(OscillatoryIntegrationError, match="still"):
+            meta_ccdf_gilpelaez(sparse, UNIFORM3, 1, 1.0, x)
+        assert meta_ccdf(sparse, UNIFORM3, 1, 1.0, x, method="auto") == meta_ccdf_beta(
+            sparse, UNIFORM3, 1, 1.0, x
+        )
+
+
+def test_gilpelaez_reports_unresolved_oscillation():
+    # |ln x| = 27.6 oscillates faster than the finest level resolves
+    with pytest.raises(OscillatoryIntegrationError, match="differ by"):
+        meta_ccdf_gilpelaez(BOUNDED, UNIFORM3, 2, 1.0, 1e-12)
+    assert meta_ccdf(BOUNDED, UNIFORM3, 2, 1.0, 1e-12, method="auto") == meta_ccdf_beta(
+        BOUNDED, UNIFORM3, 2, 1.0, 1e-12
+    )
 
 
 def test_beta_endpoints_and_mean():
