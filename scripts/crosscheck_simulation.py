@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Side-by-side table of closed-form metrics and Monte Carlo estimates.
 
+Rows cover each type and the mix (the typical type drawn per realization).
+
 Usage:
     python scripts/crosscheck_simulation.py --realizations 10000 --seed 1
 """
@@ -10,9 +12,14 @@ from __future__ import annotations
 import argparse
 
 from bwalloc.experiments import db_to_linear, default_bandwidth, default_network
-from bwalloc.meanmodel import mean_interference_k
+from bwalloc.meanmodel import mean_interference_k, mean_interference_overall
 from bwalloc.metadist import meta_ccdf_gilpelaez
-from bwalloc.metrics import shannon_throughput_k, success_prob_k
+from bwalloc.metrics import (
+    shannon_throughput_k,
+    shannon_throughput_overall,
+    success_prob_k,
+    success_prob_overall,
+)
 from bwalloc.simulate import (
     SimConfig,
     estimate_mean_interference,
@@ -20,6 +27,18 @@ from bwalloc.simulate import (
     estimate_throughput,
     success_prob_curve,
 )
+
+
+LINE = "{:<34} {:>10} {:>10} {:>8} {:>6}"
+
+
+def _row(label: str, ana: float, est) -> None:
+    z = (est.value - ana) / max(est.std_error, 1e-12)
+    print(
+        LINE.format(
+            label, f"{ana:.4f}", f"{est.value:.4f}", f"{est.std_error:.4f}", f"{z:+.2f}"
+        )
+    )
 
 
 def main() -> int:
@@ -31,68 +50,39 @@ def main() -> int:
     net = default_network()
     ba = default_bandwidth()
     sim = SimConfig(n_realizations=args.realizations, seed=args.seed)
-    line = "{:<34} {:>10} {:>10} {:>8} {:>6}"
-    print(line.format("metric", "analytic", "simulated", "se", "z"))
+    print(LINE.format("metric", "analytic", "simulated", "se", "z"))
 
+    # k = None draws the typical type from the mix, against the mix averages
+    types = (1, 2, 3, None)
     theta_dbs = (-10.0, 0.0, 10.0)
     thetas = [db_to_linear(db) for db in theta_dbs]
-    for k in (1, 2, 3):
+    for k in types:
         curve = success_prob_curve(net, ba, sim, k, thetas)
         for est, theta, db in zip(curve, thetas, theta_dbs):
-            ana = success_prob_k(net, ba, k, theta)
-            z = (est.value - ana) / max(est.std_error, 1e-12)
-            print(
-                line.format(
-                    f"P(SIR > {db:+.0f} dB), type {k}",
-                    f"{ana:.4f}",
-                    f"{est.value:.4f}",
-                    f"{est.std_error:.4f}",
-                    f"{z:+.2f}",
-                )
-            )
+            if k is None:
+                _row(f"P(SIR > {db:+.0f} dB), mix", success_prob_overall(net, ba, theta), est)
+            else:
+                _row(f"P(SIR > {db:+.0f} dB), type {k}", success_prob_k(net, ba, k, theta), est)
 
     theta = db_to_linear(-5.0)
     for k in (1, 2, 3):
         ana = meta_ccdf_gilpelaez(net, ba, k, theta, 0.6)
         (est,) = estimate_meta_distribution(net, ba, sim, k, theta, [0.6])
-        z = (est.value - ana) / max(est.std_error, 1e-12)
-        print(
-            line.format(
-                f"reliability >= 0.6 at -5 dB, type {k}",
-                f"{ana:.4f}",
-                f"{est.value:.4f}",
-                f"{est.std_error:.4f}",
-                f"{z:+.2f}",
-            )
-        )
+        _row(f"reliability >= 0.6 at -5 dB, type {k}", ana, est)
 
-    for k in (1, 2, 3):
-        ana = shannon_throughput_k(net, ba, k).value
+    for k in types:
         est = estimate_throughput(net, ba, sim, k)
-        z = (est.value - ana) / max(est.std_error, 1e-12)
-        print(
-            line.format(
-                f"throughput (bit/s), type {k}",
-                f"{ana:.4f}",
-                f"{est.value:.4f}",
-                f"{est.std_error:.4f}",
-                f"{z:+.2f}",
-            )
-        )
+        if k is None:
+            _row("throughput (bit/s), mix", shannon_throughput_overall(net, ba).value, est)
+        else:
+            _row(f"throughput (bit/s), type {k}", shannon_throughput_k(net, ba, k).value, est)
 
-    for k in (1, 2, 3):
-        ana = mean_interference_k(net, ba, k)
+    for k in types:
         est = estimate_mean_interference(net, ba, sim, k)
-        z = (est.value - ana) / max(est.std_error, 1e-12)
-        print(
-            line.format(
-                f"mean interference power, type {k}",
-                f"{ana:.4f}",
-                f"{est.value:.4f}",
-                f"{est.std_error:.4f}",
-                f"{z:+.2f}",
-            )
-        )
+        if k is None:
+            _row("mean interference power, mix", mean_interference_overall(net, ba), est)
+        else:
+            _row(f"mean interference power, type {k}", mean_interference_k(net, ba, k), est)
     return 0
 
 

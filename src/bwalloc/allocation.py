@@ -243,8 +243,16 @@ def sample_chunk_set(
     return tuple(range(start + 1, start + k + 1))
 
 
-def sample_type(config: BandwidthConfig, rng: np.random.Generator) -> int:
-    """Draw a user type from the configured mix (inverse CDF)."""
+def sample_type(
+    config: BandwidthConfig, rng: np.random.Generator, size: int | tuple[int, ...] | None = None
+) -> int | np.ndarray:
+    """Draw user types from the configured mix (inverse CDF).
+
+    ``size`` follows numpy's convention: ``None`` draws one type and returns
+    an int, anything else returns an integer array of that shape. Either way
+    each type consumes one ``rng.random`` double.
+    """
     cum = np.cumsum(config.type_probs)
-    idx = int(np.searchsorted(cum, rng.random(), side="right"))
-    return min(idx, config.n_chunks - 1) + 1
+    idx = np.searchsorted(cum, rng.random(size), side="right")
+    types = np.minimum(idx, config.n_chunks - 1) + 1
+    return int(types) if size is None else types

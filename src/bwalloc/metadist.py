@@ -130,7 +130,9 @@ class _RadialProfile:
             if prev is not None and np.all(np.abs(probes - prev) < 5e-8 * (1 + np.abs(probes))):
                 return
             prev = probes
-        raise IntegrationError(
+        # only complex orders use the profile, so this is a failure of the
+        # inversion and meta_ccdf(method="auto") may fall back to beta
+        raise OscillatoryIntegrationError(
             "radial moment integral did not converge on the node ladder"
         )
 

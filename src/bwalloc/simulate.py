@@ -6,8 +6,11 @@ probability from the realized SIR, the conditional-success distribution from
 per-pattern averages, throughput from the realized rate, and the mean
 interference directly.
 
-Each realization draws its generator from (seed, realization index), so
-estimates are bit-reproducible and independent of any execution order.
+Every estimator is a statistic over one realization loop. Realization idx
+draws everything from ``realization_rng(seed, idx)``, in a fixed order: the
+typical type (only when it is drawn from the mix), the network, then what the
+statistic draws itself. Estimates are therefore bit-reproducible and
+independent of any execution order.
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ from enum import Enum
 
 import numpy as np
 
-from .allocation import _check_type, type_averaged_overlap
+from .allocation import _check_type, sample_chunk_set, sample_type, type_averaged_overlap
 from .errors import ConfigError, DomainError
+from .metadist import _interference_discount
 from .params import AllocationMode, BandwidthConfig, NetworkParams
 
 #: Realized SIR used in place of an infinite one (zero interference) when
@@ -126,9 +130,6 @@ class NetworkRealization:
     def distances(self) -> np.ndarray:
         return np.hypot(self.positions[:, 0], self.positions[:, 1])
 
-    def chunk_sets(self) -> list[tuple[int, ...]]:
-        return [tuple(int(c) + 1 for c in np.flatnonzero(row)) for row in self.occupancy]
-
     def overlaps(self) -> np.ndarray:
         """Shared-chunk count of each interferer with the typical user."""
         return self.occupancy[:, self.typical_occupancy].sum(axis=1)
@@ -151,10 +152,9 @@ def _window(net: NetworkParams, sim: SimConfig) -> float:
     return radius
 
 
-def _sample_types(ba: BandwidthConfig, rng: np.random.Generator, n: int) -> np.ndarray:
-    cum = np.cumsum(ba.type_probs)
-    idx = np.searchsorted(cum, rng.random(n), side="right")
-    return np.minimum(idx, ba.n_chunks - 1) + 1
+def _window_starts(n_chunks: int, types: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """0-based start of a uniformly placed window for each entry of ``types``."""
+    return (rng.random(types.shape) * (n_chunks - types + 1)).astype(np.int64)
 
 
 def _sample_occupancy(
@@ -172,7 +172,7 @@ def _sample_occupancy(
             ranks, order, np.broadcast_to(np.arange(n_chunks), (n, n_chunks)).copy(), axis=1
         )
         return ranks < types[:, None]
-    starts = (rng.random(n) * (n_chunks - types + 1)).astype(np.int64)
+    starts = _window_starts(n_chunks, types, rng)
     cols = np.arange(n_chunks)
     return (cols >= starts[:, None]) & (cols < (starts + types)[:, None])
 
@@ -193,15 +193,11 @@ def sample_realization(
     rr = radius * np.sqrt(rng.random(n))
     ang = 2.0 * math.pi * rng.random(n)
     positions = np.column_stack((rr * np.cos(ang), rr * np.sin(ang)))
-    types = _sample_types(ba, rng, n)
+    types = sample_type(ba, rng, n)
     occupancy = _sample_occupancy(ba, types, rng)
     fading = rng.exponential(1.0, n)
     typical_occupancy = np.zeros(ba.n_chunks, dtype=bool)
-    if ba.mode is AllocationMode.RANDOM:
-        typical_occupancy[rng.choice(ba.n_chunks, size=k_typical, replace=False)] = True
-    else:
-        start = int(rng.integers(0, ba.n_chunks - k_typical + 1))
-        typical_occupancy[start : start + k_typical] = True
+    typical_occupancy[np.array(sample_chunk_set(ba, k_typical, rng)) - 1] = True
     typical_fading = float(rng.exponential(1.0))
     return NetworkRealization(
         positions=positions,
@@ -216,12 +212,16 @@ def sample_realization(
     )
 
 
+def _interference(real: NetworkRealization, net: NetworkParams) -> float:
+    """Interference at the typical receiver, in units of the per-chunk power."""
+    attenuation = net.pathloss.attenuation(real.distances())
+    return float(np.sum(real.overlaps() * real.fading * attenuation))
+
+
 def sir_of_realization(real: NetworkRealization, net: NetworkParams) -> float:
     """Realized SIR of the typical link; infinite when nothing interferes on
     the typical user's chunks."""
-    overlaps = real.overlaps()
-    attenuation = net.pathloss.attenuation(real.distances())
-    interference = float(np.sum(overlaps * real.fading * attenuation))
+    interference = _interference(real, net)
     signal = real.typical_type * real.typical_fading * net.signal_attenuation()
     if interference == 0.0:
         return math.inf
@@ -260,12 +260,7 @@ def conditional_success_prob(
         if dist.size == 0:
             return 1.0
         q = type_averaged_overlap(ba, k)
-        ts = np.arange(1, k + 1, dtype=float)
-        ratio = net.pathloss.attenuation(dist) / net.signal_attenuation()
-        scaled = theta * (ts / k)[:, None] * np.atleast_1d(ratio)[None, :]
-        # per-interferer factor as 1 - discount; exact when nothing overlaps
-        discount = (q[1:, None] * (1.0 - 1.0 / (1.0 + scaled))).sum(axis=0)
-        return float(np.prod(1.0 - discount))
+        return float(np.prod(1.0 - _interference_discount(net, k, theta, dist, q)))
 
     if rng is None:
         raise DomainError("fully-empirical conditioning needs a randomness source")
@@ -280,14 +275,15 @@ def conditional_success_prob(
     block = max(1, int(2_000_000 // max(n * ba.n_chunks, 1)))
     while done < n_fading_draws:
         m = min(block, n_fading_draws - done)
-        types = _sample_types(ba, rng, m * n).reshape(m, n)
+        types = sample_type(ba, rng, (m, n))
+        typical_types = np.full(m, k, dtype=np.int64)
         if ba.mode is AllocationMode.RANDOM:
             occ = _sample_occupancy(ba, types.ravel(), rng).reshape(m, n, ba.n_chunks)
-            typ = _sample_occupancy(ba, np.full(m, k, dtype=np.int64), rng)
+            typ = _sample_occupancy(ba, typical_types, rng)
             t_x = (occ & typ[:, None, :]).sum(axis=2)
         else:
-            starts = (rng.random((m, n)) * (ba.n_chunks - types + 1)).astype(np.int64)
-            typ_starts = (rng.random(m) * (ba.n_chunks - k + 1)).astype(np.int64)
+            starts = _window_starts(ba.n_chunks, types, rng)
+            typ_starts = _window_starts(ba.n_chunks, typical_types, rng)
             lo = np.maximum(starts, typ_starts[:, None])
             hi = np.minimum(starts + types, (typ_starts + k)[:, None])
             t_x = np.maximum(0, hi - lo)
@@ -302,9 +298,26 @@ def conditional_success_prob(
     return hits / n_fading_draws
 
 
+def _realizations(net: NetworkParams, ba: BandwidthConfig, sim: SimConfig, k: int | None):
+    """Yield (generator, typical type, realization) for every index of
+    ``sim``; a statistic may keep drawing from the generator."""
+    if k is not None:
+        k = _check_type(ba.n_chunks, k, "k")
+    for idx in range(sim.n_realizations):
+        rng = realization_rng(sim.seed, idx)
+        k_typ = sample_type(ba, rng) if k is None else k
+        yield rng, k_typ, sample_realization(net, ba, sim, k_typ, rng)
+
+
 def _binomial_estimate(hits: int, n: int) -> EstimateWithCI:
     p = hits / n
     return EstimateWithCI(p, math.sqrt(p * (1.0 - p) / n), n)
+
+
+def _mean_estimate(values: np.ndarray, n_capped: int = 0) -> EstimateWithCI:
+    n = values.size
+    std_error = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return EstimateWithCI(float(values.mean()), std_error, n, n_capped)
 
 
 def success_prob_curve(
@@ -323,22 +336,9 @@ def success_prob_curve(
     if np.any(~np.isfinite(thetas)) or np.any(thetas < 0.0):
         raise DomainError("thetas must be finite and >= 0")
     hits = np.zeros(thetas.size, dtype=np.int64)
-    for idx in range(sim.n_realizations):
-        rng = realization_rng(sim.seed, idx)
-        k_typ = sample_type_or_fixed(ba, k, rng)
-        real = sample_realization(net, ba, sim, k_typ, rng)
-        sir = sir_of_realization(real, net)
-        hits += sir > thetas
-    n = sim.n_realizations
-    return [_binomial_estimate(int(h), n) for h in hits]
-
-
-def sample_type_or_fixed(ba: BandwidthConfig, k: int | None, rng) -> int:
-    if k is None:
-        cum = np.cumsum(ba.type_probs)
-        idx = int(np.searchsorted(cum, rng.random(), side="right"))
-        return min(idx, ba.n_chunks - 1) + 1
-    return _check_type(ba.n_chunks, k, "k")
+    for _, _, real in _realizations(net, ba, sim, k):
+        hits += sir_of_realization(real, net) > thetas
+    return [_binomial_estimate(int(h), sim.n_realizations) for h in hits]
 
 
 def estimate_success_prob(
@@ -367,10 +367,7 @@ def estimate_meta_distribution(
     if np.any(~np.isfinite(x_grid)) or np.any(x_grid < 0.0) or np.any(x_grid > 1.0):
         raise DomainError("x_grid values must lie in [0, 1]")
     counts = np.zeros(x_grid.size, dtype=np.int64)
-    for idx in range(sim.n_realizations):
-        rng = realization_rng(sim.seed, idx)
-        k_typ = sample_type_or_fixed(ba, k, rng)
-        real = sample_realization(net, ba, sim, k_typ, rng)
+    for rng, k_typ, real in _realizations(net, ba, sim, k):
         value = conditional_success_prob(
             real,
             net,
@@ -382,8 +379,7 @@ def estimate_meta_distribution(
             rng=rng,
         )
         counts += value > x_grid
-    n = sim.n_realizations
-    return [_binomial_estimate(int(c), n) for c in counts]
+    return [_binomial_estimate(int(c), sim.n_realizations) for c in counts]
 
 
 def estimate_throughput(
@@ -396,18 +392,13 @@ def estimate_throughput(
     realizations are capped at SIR_CAP and counted in ``n_capped``."""
     values = np.empty(sim.n_realizations)
     n_capped = 0
-    for idx in range(sim.n_realizations):
-        rng = realization_rng(sim.seed, idx)
-        k_typ = sample_type_or_fixed(ba, k, rng)
-        real = sample_realization(net, ba, sim, k_typ, rng)
+    for idx, (_, k_typ, real) in enumerate(_realizations(net, ba, sim, k)):
         sir = sir_of_realization(real, net)
         if not math.isfinite(sir) or sir > SIR_CAP:
             sir = SIR_CAP
             n_capped += 1
         values[idx] = (k_typ / ba.n_chunks) * math.log2(1.0 + sir)
-    n = sim.n_realizations
-    std_error = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return EstimateWithCI(float(values.mean()), std_error, n, n_capped)
+    return _mean_estimate(values, n_capped)
 
 
 def estimate_mean_interference(
@@ -418,15 +409,7 @@ def estimate_mean_interference(
 ) -> EstimateWithCI:
     """Empirical mean interference power at a type-k receiver, with the
     per-chunk power reinstated."""
-    values = np.empty(sim.n_realizations)
-    for idx in range(sim.n_realizations):
-        rng = realization_rng(sim.seed, idx)
-        k_typ = sample_type_or_fixed(ba, k, rng)
-        real = sample_realization(net, ba, sim, k_typ, rng)
-        attenuation = net.pathloss.attenuation(real.distances())
-        values[idx] = ba.power_per_chunk * float(
-            np.sum(real.overlaps() * real.fading * attenuation)
-        )
-    n = sim.n_realizations
-    std_error = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return EstimateWithCI(float(values.mean()), std_error, n)
+    values = np.array(
+        [_interference(real, net) for _, _, real in _realizations(net, ba, sim, k)]
+    )
+    return _mean_estimate(ba.power_per_chunk * values)

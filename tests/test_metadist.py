@@ -205,6 +205,19 @@ def test_gilpelaez_reports_unresolved_oscillation():
     )
 
 
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_node_ladder_failure_falls_back_to_beta():
+    # power law with k = n: no interferer misses the typical chunks (q_0 = 0),
+    # log(1 - h) is -inf at the origin and the imaginary probes never settle
+    with pytest.raises(OscillatoryIntegrationError, match="node ladder"):
+        meta_ccdf_gilpelaez(POWER_LAW, UNIFORM3, 3, 1.0, 0.5)
+    assert meta_ccdf(POWER_LAW, UNIFORM3, 3, 1.0, 0.5, method="auto") == meta_ccdf_beta(
+        POWER_LAW, UNIFORM3, 3, 1.0, 0.5
+    )
+    assert meta_ccdf_beta(POWER_LAW, UNIFORM3, 3, 1.0, 0.5) == pytest.approx(0.44201, abs=1e-5)
+
+
 def test_beta_endpoints_and_mean():
     assert meta_ccdf_beta(BOUNDED, UNIFORM3, 1, 1.0, 0.0) == 1.0
     assert meta_ccdf_beta(BOUNDED, UNIFORM3, 1, 1.0, 1.0) == 0.0

@@ -12,10 +12,11 @@ import pytest
 from scipy import stats
 
 from bwalloc.errors import ConfigError, DomainError
-from bwalloc.meanmodel import mean_interference_k
+from bwalloc.meanmodel import mean_interference_k, mean_interference_overall
 from bwalloc.metadist import meta_ccdf_gilpelaez
 from bwalloc.metrics import (
     shannon_throughput_k,
+    shannon_throughput_overall,
     success_prob_k,
     success_prob_overall,
 )
@@ -318,6 +319,13 @@ def test_estimate_throughput_matches_integral():
         assert est.n_capped == 0  # dense enough that silence never happens
 
 
+def test_estimate_throughput_mixed_type_matches_overall():
+    sim = SimConfig(n_realizations=4000, seed=83)
+    est = estimate_throughput(BOUNDED, UNIFORM3, sim, None)
+    ana = shannon_throughput_overall(BOUNDED, UNIFORM3).value
+    assert abs(est.value - ana) < 3 * est.std_error
+
+
 def test_estimate_throughput_caps_infinite_sir():
     tiny = NetworkParams(1e-6, 1.0, PathLossModel.bounded(4.0, 1.0))
     sim = SimConfig(n_realizations=50, seed=67, window_radius=10.0)
@@ -331,6 +339,23 @@ def test_estimate_mean_interference_matches_formula():
     for k in (1, 2):
         est = estimate_mean_interference(BOUNDED, UNIFORM3, sim, k)
         ana = mean_interference_k(BOUNDED, UNIFORM3, k)
+        assert abs(est.value - ana) < 3 * est.std_error
+
+
+def test_estimate_mean_interference_mixed_type_matches_overall():
+    sim = SimConfig(n_realizations=4000, seed=89)
+    est = estimate_mean_interference(BOUNDED, UNIFORM3, sim, None)
+    ana = mean_interference_overall(BOUNDED, UNIFORM3)
+    assert abs(est.value - ana) < 3 * est.std_error
+
+
+def test_estimate_mean_interference_contiguous_matches_formula():
+    # means are linear in the overlap, so the window-averaged law is exact
+    ba = BandwidthConfig.uniform(10, mode=AllocationMode.CONTIGUOUS, power_per_chunk=2.0)
+    sim = SimConfig(n_realizations=4000, seed=97)
+    for k in (1, 3):
+        est = estimate_mean_interference(BOUNDED, ba, sim, k)
+        ana = mean_interference_k(BOUNDED, ba, k)
         assert abs(est.value - ana) < 3 * est.std_error
 
 
