@@ -2,8 +2,11 @@
 
 Closed-form distributions of the number of chunks shared between the typical
 user (type k) and an interferer (type i), for both allocation modes, plus the
-samplers the Monte Carlo engine builds on. Masses are exact rationals so that
-downstream formulas never inherit probability drift.
+samplers the Monte Carlo engine builds on. The per-pair masses are exact
+rationals, so their normalization and means are checked without drift. The
+law against an interferer of random type is collapsed once per (mix, k) into
+a cached float table, ``window_overlap_table``, which every closed form
+reads.
 """
 
 from __future__ import annotations
@@ -161,11 +164,6 @@ def overlap_pmf(config: BandwidthConfig, k: int, i: int) -> OverlapPmf:
     return overlap_pmf_contiguous(config.n_chunks, k, i)
 
 
-def mean_overlap(pmf: OverlapPmf) -> Fraction:
-    """Expected shared-chunk count; equals i*k/n in random mode."""
-    return pmf.mean()
-
-
 def type_averaged_overlap(config: BandwidthConfig, k: int) -> np.ndarray:
     """Overlap distribution against an interferer of random type.
 
@@ -179,15 +177,7 @@ def type_averaged_overlap(config: BandwidthConfig, k: int) -> np.ndarray:
     but not for success probabilities, which average over the typical
     window outside the exponential.
     """
-    k = _check_type(config.n_chunks, k, "k")
-    out = np.zeros(k + 1)
-    for i in range(1, config.n_chunks + 1):
-        p_i = config.type_probs[i - 1]
-        if p_i == 0.0:
-            continue
-        for t, mass in overlap_pmf(config, k, i).items():
-            out[t] += p_i * float(mass)
-    return out
+    return window_overlap_table(config, k).mean(axis=0)
 
 
 def window_overlap_table(config: BandwidthConfig, k: int) -> np.ndarray:
@@ -211,21 +201,22 @@ def window_overlap_table(config: BandwidthConfig, k: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _window_overlap_table(config: BandwidthConfig, k: int) -> np.ndarray:
     n = config.n_chunks
-    if config.mode is AllocationMode.RANDOM:
-        table = type_averaged_overlap(config, k)[None, :]
-    else:
-        # count, for each typical window start s, the interferer window
-        # starts u giving each overlap t; every u is equally likely
-        starts = np.arange(n - k + 1)[:, None]
-        counts = np.zeros((n - k + 1) * (k + 1))
-        for i, p_i in enumerate(config.type_probs, start=1):
-            if p_i == 0.0:
-                continue
+    contiguous = config.mode is AllocationMode.CONTIGUOUS
+    starts = np.arange(n - k + 1 if contiguous else 1)[:, None]
+    table = np.zeros((starts.size, k + 1))
+    for i, p_i in enumerate(config.type_probs, start=1):
+        if p_i == 0.0:
+            continue
+        if contiguous:
+            # count, for each typical window start s, the interferer window
+            # starts u giving each overlap t; every u is equally likely
             u = np.arange(n - i + 1)[None, :]
             t = np.maximum(0, np.minimum(starts + k, u + i) - np.maximum(starts, u))
-            cells = (starts * (k + 1) + t).ravel()
-            counts += np.bincount(cells, minlength=counts.size) * (p_i / (n - i + 1))
-        table = counts.reshape(n - k + 1, k + 1)
+            counts = np.bincount((starts * (k + 1) + t).ravel(), minlength=table.size)
+            table += counts.reshape(table.shape) * (p_i / (n - i + 1))
+        else:
+            for t, mass in _random_overlap(n, k, i).items():
+                table[0, t] += p_i * float(mass)
     table.flags.writeable = False
     return table
 

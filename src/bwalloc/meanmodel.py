@@ -12,9 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.special import gamma as _gamma
 
-from .allocation import _check_type, mean_overlap, overlap_pmf
+from .allocation import _check_type, type_averaged_overlap
 from .errors import DomainError
 from .params import BandwidthConfig, NetworkParams
 
@@ -49,11 +50,19 @@ def _campbell_prefactor(net: NetworkParams) -> float:
     )
 
 
-def _mean_overlap_vs_mix(ba: BandwidthConfig, k: int, probs) -> float:
+def _mean_overlap(ba: BandwidthConfig, k: int) -> float:
+    """Mean shared-chunk count of a type-k user against an interferer of
+    random type: sum_t t q_t."""
+    return float(np.arange(k + 1) @ type_averaged_overlap(ba, k))
+
+
+def _mix_mean_overlap(ba: BandwidthConfig) -> float:
+    """Mean shared-chunk count with the typical user's type drawn from the
+    mix as well."""
     return math.fsum(
-        p_i * float(mean_overlap(overlap_pmf(ba, k, i)))
-        for i, p_i in enumerate(probs, start=1)
-        if p_i > 0.0
+        p_k * _mean_overlap(ba, k)
+        for k, p_k in enumerate(ba.type_probs, start=1)
+        if p_k > 0.0
     )
 
 
@@ -61,20 +70,12 @@ def mean_interference_k(net: NetworkParams, ba: BandwidthConfig, k: int) -> floa
     """Mean interference power at a type-k receiver (Campbell average of the
     typed shot noise); proportional to the mix-averaged mean overlap."""
     k = _check_type(ba.n_chunks, k, "k")
-    return (
-        _campbell_prefactor(net)
-        * ba.power_per_chunk
-        * _mean_overlap_vs_mix(ba, k, ba.type_probs)
-    )
+    return _campbell_prefactor(net) * ba.power_per_chunk * _mean_overlap(ba, k)
 
 
 def mean_interference_overall(net: NetworkParams, ba: BandwidthConfig) -> float:
     """Mean interference power averaged over the typical user's type."""
-    return math.fsum(
-        p_k * mean_interference_k(net, ba, k)
-        for k, p_k in enumerate(ba.type_probs, start=1)
-        if p_k > 0.0
-    )
+    return _campbell_prefactor(net) * ba.power_per_chunk * _mix_mean_overlap(ba)
 
 
 def matched_intensity(
@@ -86,16 +87,8 @@ def matched_intensity(
     alt_power = float(alt_power)
     if not math.isfinite(alt_power) or alt_power <= 0.0:
         raise DomainError(f"alt_power must be finite and > 0, got {alt_power}")
-    base_sum = math.fsum(
-        p_k * _mean_overlap_vs_mix(ba, k, ba.type_probs)
-        for k, p_k in enumerate(ba.type_probs, start=1)
-        if p_k > 0.0
-    )
-    alt_sum = math.fsum(
-        p_k * _mean_overlap_vs_mix(ba, k, alt.type_probs)
-        for k, p_k in enumerate(alt.type_probs, start=1)
-        if p_k > 0.0
-    )
+    base_sum = _mix_mean_overlap(ba)
+    alt_sum = _mix_mean_overlap(alt)
     if alt_sum <= 0.0:
         raise DomainError("alternative mix carries no interference to match")
     return net.intensity * ba.power_per_chunk * base_sum / (alt_power * alt_sum)

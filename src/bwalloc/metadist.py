@@ -124,7 +124,12 @@ class _RadialProfile:
             r = r_link * np.tan(v)
             jac = r_link / np.cos(v) ** 2
             discount = _interference_discount(net, k, theta, r, q)
-            self._log_factor = np.log1p(-discount)
+            with np.errstate(divide="ignore"):
+                self._log_factor = np.log1p(-discount)
+            if not np.all(np.isfinite(self._log_factor)):
+                # a discount of exactly 1 (power law, q_0 = 0) recurs on every
+                # finer rung, whose inner node only moves closer to the origin
+                break
             self._weight = w * r * jac
             probes = np.array([self.log_moment(b) for b in self._PROBES])
             if prev is not None and np.all(np.abs(probes - prev) < 5e-8 * (1 + np.abs(probes))):

@@ -134,9 +134,6 @@ class ThroughputResult:
     y_max: float
     truncated: bool
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def _rate_ccdf_integral(net: NetworkParams, ba: BandwidthConfig, k: int):
     """Integral over y of P(log2(1 + SIR) > y) for a type-k link."""

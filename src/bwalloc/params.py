@@ -93,10 +93,6 @@ class BandwidthConfig:
         probs[k - 1] = 1.0
         return cls(n_chunks, tuple(probs), mode, power_per_chunk)
 
-    @property
-    def chunk_width(self) -> float:
-        return 1.0 / self.n_chunks
-
     def mean_type(self) -> float:
         """Average number of occupied chunks, sum_k k * p_k."""
         return math.fsum((i + 1) * p for i, p in enumerate(self.type_probs))
@@ -137,10 +133,6 @@ class PathLossModel:
     @property
     def is_bounded(self) -> bool:
         return self.c0 > 0.0
-
-    @property
-    def variant(self) -> str:
-        return "bounded" if self.is_bounded else "power_law"
 
     @property
     def delta(self) -> float:

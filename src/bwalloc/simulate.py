@@ -23,7 +23,7 @@ import numpy as np
 
 from .allocation import _check_type, sample_chunk_set, sample_type, type_averaged_overlap
 from .errors import ConfigError, DomainError
-from .metadist import _interference_discount
+from .metadist import _check_theta, _interference_discount
 from .params import AllocationMode, BandwidthConfig, NetworkParams
 
 #: Realized SIR used in place of an infinite one (zero interference) when
@@ -252,9 +252,7 @@ def conditional_success_prob(
     draws one typical window per fading draw.
     """
     k = _check_type(ba.n_chunks, k, "k")
-    theta = float(theta)
-    if not math.isfinite(theta) or theta <= 0.0:
-        raise DomainError(f"theta must be finite and > 0, got {theta}")
+    theta = _check_theta(theta)
     dist = real.distances()
     if mode is ConditionalMode.CLOSED_FORM_GIVEN_PHI:
         if dist.size == 0:

@@ -28,11 +28,7 @@ from itertools import combinations
 
 import numpy as np
 
-from bwalloc.allocation import (
-    mean_overlap,
-    overlap_pmf_contiguous,
-    overlap_pmf_random,
-)
+from bwalloc.allocation import overlap_pmf_contiguous, overlap_pmf_random
 from bwalloc.experiments import db_to_linear, default_bandwidth, default_network
 from bwalloc.meanmodel import (
     match_mean_model,
@@ -102,7 +98,7 @@ def test_criterion_1_overlap_pmf_exactness():
 
 def test_criterion_2_hypergeometric_mean():
     exact = all(
-        mean_overlap(overlap_pmf_random(n, k, i)) == Fraction(i * k, n)
+        overlap_pmf_random(n, k, i).mean() == Fraction(i * k, n)
         for n in range(1, 9)
         for k in range(1, n + 1)
         for i in range(1, n + 1)

@@ -16,7 +16,6 @@ from scipy import stats
 
 from bwalloc.allocation import (
     OverlapPmf,
-    mean_overlap,
     overlap_pmf,
     overlap_pmf_contiguous,
     overlap_pmf_random,
@@ -99,12 +98,12 @@ def test_contiguous_examples():
 def test_mean_overlap_hypergeometric():
     # random-mode mean is i*k/n, exactly, for every shape
     for n, k, i in _types_up_to(8):
-        assert mean_overlap(overlap_pmf_random(n, k, i)) == Fraction(i * k, n)
+        assert overlap_pmf_random(n, k, i).mean() == Fraction(i * k, n)
 
 
 def test_mean_overlap_point_mass():
     pmf = OverlapPmf(3, 3, 2, (2,), (Fraction(1),))
-    assert mean_overlap(pmf) == 2
+    assert pmf.mean() == 2
 
 
 def test_symmetry_in_types():
@@ -134,7 +133,7 @@ def test_pmf_properties_any_size(nki):
         assert all(p > 0 for p in pmf.probs)
         assert pmf.support[0] == max(0, k + i - n)
         assert pmf.support[-1] == min(k, i)
-    assert mean_overlap(overlap_pmf_random(n, k, i)) == Fraction(i * k, n)
+    assert overlap_pmf_random(n, k, i).mean() == Fraction(i * k, n)
 
 
 def test_domain_errors():
@@ -191,9 +190,12 @@ def test_window_overlap_table_averages_to_marginal(mode):
     for k in range(1, 6):
         table = window_overlap_table(config, k)
         assert table.shape[0] == (1 if mode is AllocationMode.RANDOM else 6 - k)
-        np.testing.assert_allclose(
-            table.mean(axis=0), type_averaged_overlap(config, k), rtol=0, atol=1e-15
-        )
+        # reference from the exact per-pair laws, not from the table
+        marginal = np.zeros(k + 1)
+        for i, p_i in enumerate(config.type_probs, start=1):
+            for t, mass in overlap_pmf(config, k, i).items():
+                marginal[t] += p_i * float(mass)
+        np.testing.assert_allclose(table.mean(axis=0), marginal, rtol=0, atol=1e-15)
 
 
 def test_window_overlap_table_domain_errors():

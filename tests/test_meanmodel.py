@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bwalloc.allocation import mean_overlap, overlap_pmf, overlap_pmf_random
+from bwalloc.allocation import overlap_pmf, overlap_pmf_contiguous, overlap_pmf_random
 from bwalloc.errors import ConfigError, DomainError
 from bwalloc.meanmodel import (
     match_mean_model,
@@ -125,7 +125,7 @@ def test_matched_intensity_pinned():
     uni = (Fraction(1, 3),) * 3
     for k in (1, 2, 3):
         for i in (1, 2, 3):
-            m = mean_overlap(overlap_pmf_random(3, k, i))
+            m = overlap_pmf_random(3, k, i).mean()
             s_base += uni[k - 1] * uni[i - 1] * m
             s_alt += alt[k - 1] * alt[i - 1] * m
     assert s_base == Fraction(4, 3)
@@ -188,13 +188,38 @@ def test_msmir_contiguous_reported_not_equal():
         * 0.5
         / (
             0.2 * math.pi * 0.5 * math.gamma(0.5) * math.gamma(0.5)
-            * sum(float(mean_overlap(overlap_pmf(ba, k, i))) / 3 for i in (1, 2, 3))
+            * sum(float(overlap_pmf(ba, k, i).mean()) / 3 for i in (1, 2, 3))
         )
         for k in (1, 2, 3)
     ]
     for got, exp in zip(vals, oracle):
         assert got == pytest.approx(exp, rel=1e-12)
 
+
+
+@pytest.mark.parametrize("n", [3, 10])
+def test_contiguous_mix_sums_match_exact_oracle(n):
+    """Overall mean interference and the matched intensity in contiguous
+    mode, against S(q) = sum_k q_k sum_i q_i E[overlap | k, i] evaluated in
+    exact rationals from the per-pair laws."""
+    ba = BandwidthConfig.uniform(n, mode=AllocationMode.CONTIGUOUS, power_per_chunk=2.0)
+    alt_probs = (0.3,) + (0.0,) * (n - 2) + (0.7,)
+    uni = [Fraction(1, n)] * n
+    alt = [Fraction(3, 10)] + [Fraction(0)] * (n - 2) + [Fraction(7, 10)]
+
+    def mix_sum(q):
+        return sum(
+            q[k - 1] * q[i - 1] * overlap_pmf_contiguous(n, k, i).mean()
+            for k in range(1, n + 1)
+            for i in range(1, n + 1)
+        )
+
+    campbell = 0.2 * math.pi * 0.5 * math.gamma(0.5) ** 2
+    got = mean_interference_overall(BOUNDED, ba)
+    assert got == pytest.approx(campbell * 2.0 * float(mix_sum(uni)), rel=1e-13)
+    expected = Fraction(1, 5) * 2 * mix_sum(uni) / (Fraction(3, 2) * mix_sum(alt))
+    got = matched_intensity(BOUNDED, ba, alt_probs, 1.5)
+    assert got == pytest.approx(float(expected), rel=1e-13)
 
 def test_alt_mix_validation():
     with pytest.raises(DomainError):

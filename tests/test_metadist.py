@@ -205,8 +205,6 @@ def test_gilpelaez_reports_unresolved_oscillation():
     )
 
 
-@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_node_ladder_failure_falls_back_to_beta():
     # power law with k = n: no interferer misses the typical chunks (q_0 = 0),
     # log(1 - h) is -inf at the origin and the imaginary probes never settle

@@ -233,6 +233,10 @@ def test_conditional_requires_rng_for_empirical():
         conditional_success_prob(
             real, BOUNDED, UNIFORM3, 1, 1.0, mode=ConditionalMode.FULLY_EMPIRICAL
         )
+    # the meta-distribution domain: theta must be finite and > 0
+    for theta in (0.0, -1.0, math.nan):
+        with pytest.raises(DomainError):
+            conditional_success_prob(real, BOUNDED, UNIFORM3, 1, theta)
 
 
 # ---------------------------------------------------------------------------
