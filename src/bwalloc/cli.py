@@ -24,7 +24,6 @@ from .experiments import (
     run_and_write,
     run_figure,
 )
-from .params import BandwidthConfig
 from .simulate import SimConfig
 
 
@@ -173,19 +172,14 @@ def _spec_from_args(args) -> ExperimentSpec:
 
     overrides = {}
     if args.mode:
-        ba = base.bandwidth
-        overrides["bandwidth"] = BandwidthConfig(
-            ba.n_chunks, ba.type_probs, args.mode, ba.power_per_chunk
-        )
-    if args.seed is not None or args.realizations is not None:
-        sim = base.sim
-        overrides["sim"] = SimConfig(
-            args.realizations if args.realizations is not None else sim.n_realizations,
-            args.seed if args.seed is not None else sim.seed,
-            sim.window_radius,
-            sim.n_fading_draws,
-            sim.conditional_mode,
-        )
+        overrides["bandwidth"] = replace(base.bandwidth, mode=args.mode)
+    sim_overrides = {}
+    if args.seed is not None:
+        sim_overrides["seed"] = args.seed
+    if args.realizations is not None:
+        sim_overrides["n_realizations"] = args.realizations
+    if sim_overrides:
+        overrides["sim"] = replace(base.sim, **sim_overrides)
     return replace(base, **overrides) if overrides else base
 
 

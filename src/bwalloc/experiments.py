@@ -253,6 +253,7 @@ def parse_config(text: str, base: ExperimentSpec | None = None) -> ExperimentSpe
     except Exception as exc:
         raise ConfigError(f"unparseable config: {exc}") from None
 
+    require_experiment = base is None
     if base is None:
         base = ExperimentSpec(
             Metric.SUCCESS_PROB, SweepSpec(SweepVariable.THETA_DB, -20.0, 20.0, 41)
@@ -322,6 +323,8 @@ def parse_config(text: str, base: ExperimentSpec | None = None) -> ExperimentSpe
                 compare_modes=sec.getboolean("compare_modes", base.compare_modes),
                 output=output,
             )
+        if require_experiment:
+            raise ConfigError("section missing")
         return replace(base, network=network, bandwidth=bandwidth, sim=sim)
     except ConfigError as exc:
         raise ConfigError(f"[{section}] {exc}") from None
@@ -360,9 +363,7 @@ def _meta_table(spec: ExperimentSpec):
 
     def row(x: float):
         per_type = [meta_ccdf(net, ba, k, theta, x, method="auto") for k in _type_range(ba)]
-        overall = math.fsum(
-            p * v for p, v in zip(ba.type_probs, per_type) if p > 0.0
-        )
+        overall = ba.mix_average(lambda k: per_type[k - 1])
         return [x, spec.theta_db, *per_type, overall]
 
     return header, [row(v) for v in spec.sweep.values()]
@@ -376,7 +377,7 @@ def _throughput_lambda_table(spec: ExperimentSpec, per_joule_only: bool):
     header = ["lambda"] + (joule_cols if per_joule_only else rate_cols + joule_cols)
 
     def row(lam: float):
-        net = NetworkParams(lam, spec.network.link_distance, spec.network.pathloss)
+        net = replace(spec.network, intensity=lam)
         rates = [shannon_throughput_k(net, ba, k).value for k in types]
         rates.append(shannon_throughput_overall(net, ba).value)
         joules = [shannon_throughput_per_joule_k(net, ba, k).value for k in types]
@@ -401,12 +402,8 @@ def _throughput_type_table(spec: ExperimentSpec):
             "rate_per_hz_random",
             "rate_per_hz_contiguous",
         ]
-        random_ba = BandwidthConfig(
-            ba.n_chunks, ba.type_probs, AllocationMode.RANDOM, ba.power_per_chunk
-        )
-        contig_ba = BandwidthConfig(
-            ba.n_chunks, ba.type_probs, AllocationMode.CONTIGUOUS, ba.power_per_chunk
-        )
+        random_ba = replace(ba, mode=AllocationMode.RANDOM)
+        contig_ba = replace(ba, mode=AllocationMode.CONTIGUOUS)
 
         def row(k: int):
             return [
@@ -462,10 +459,8 @@ def _mean_model_table(spec: ExperimentSpec):
         ]
 
         def row(lam: float):
-            base_net = NetworkParams(lam, net.link_distance, net.pathloss)
-            alt_net = NetworkParams(
-                lam * intensity_ratio, net.link_distance, net.pathloss
-            )
+            base_net = replace(net, intensity=lam)
+            alt_net = replace(net, intensity=lam * intensity_ratio)
             if per_joule:
                 base_val = shannon_throughput_per_joule_overall(base_net, ba).value
                 alt_val = shannon_throughput_per_joule_overall(alt_net, alt_ba).value
@@ -650,7 +645,7 @@ def _run_fig2():
 
 def _run_fig5():
     sweep = SweepSpec(SweepVariable.LAMBDA, 0.01, 1.0, 13, scale="log")
-    pathloss = PathLossModel.power_law(4.0)
+    network = NetworkParams(0.2, 1.0, PathLossModel.power_law(4.0))
     mixes = {
         "only_type_1": BandwidthConfig(3, (1.0, 0.0, 0.0), power_per_chunk=2.0),
         "uniform": default_bandwidth(),
@@ -663,15 +658,13 @@ def _run_fig5():
     )
     rows = []
     for lam in sweep.values():
-        net = NetworkParams(lam, 1.0, pathloss)
+        net = replace(network, intensity=lam)
         rates = [shannon_throughput_overall(net, ba).value for ba in mixes.values()]
         joules = [
             shannon_throughput_per_joule_overall(net, ba).value for ba in mixes.values()
         ]
         rows.append([lam, *rates, *joules])
-    spec = ExperimentSpec(
-        Metric.THROUGHPUT, sweep, network=NetworkParams(0.2, 1.0, pathloss)
-    )
+    spec = ExperimentSpec(Metric.THROUGHPUT, sweep, network=network)
     return spec, header, rows
 
 

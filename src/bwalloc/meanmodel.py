@@ -10,7 +10,7 @@ type-independent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import gamma as _gamma
@@ -59,11 +59,7 @@ def _mean_overlap(ba: BandwidthConfig, k: int) -> float:
 def _mix_mean_overlap(ba: BandwidthConfig) -> float:
     """Mean shared-chunk count with the typical user's type drawn from the
     mix as well."""
-    return math.fsum(
-        p_k * _mean_overlap(ba, k)
-        for k, p_k in enumerate(ba.type_probs, start=1)
-        if p_k > 0.0
-    )
+    return ba.mix_average(lambda k: _mean_overlap(ba, k))
 
 
 def mean_interference_k(net: NetworkParams, ba: BandwidthConfig, k: int) -> float:
@@ -123,10 +119,8 @@ def match_mean_model(net: NetworkParams, ba: BandwidthConfig, alt_probs) -> Matc
     and mean interference powers; chunk count and mode are shared."""
     power = matched_power(ba, alt_probs)
     intensity = matched_intensity(net, ba, alt_probs, power)
-    alt_ba = BandwidthConfig(
-        ba.n_chunks, tuple(float(p) for p in alt_probs), ba.mode, power
-    )
-    alt_net = NetworkParams(intensity, net.link_distance, net.pathloss)
+    alt_ba = replace(ba, type_probs=alt_probs, power_per_chunk=power)
+    alt_net = replace(net, intensity=intensity)
     return MatchedNetwork(alt_net, alt_ba)
 
 
@@ -137,4 +131,4 @@ def _coerce_alt(ba: BandwidthConfig, alt_probs) -> BandwidthConfig:
         raise DomainError(
             f"alternative mix has {len(probs)} entries, expected {ba.n_chunks}"
         )
-    return BandwidthConfig(ba.n_chunks, probs, ba.mode, ba.power_per_chunk)
+    return replace(ba, type_probs=probs)

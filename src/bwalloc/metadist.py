@@ -366,8 +366,4 @@ def meta_ccdf_overall(
     """Ccdf with the typical user's type averaged over the mix."""
     theta = _check_theta(theta)
     x = _check_x(x)
-    return math.fsum(
-        p_k * meta_ccdf(net, ba, k, theta, x, method=method)
-        for k, p_k in enumerate(ba.type_probs, start=1)
-        if p_k > 0.0
-    )
+    return ba.mix_average(lambda k: meta_ccdf(net, ba, k, theta, x, method=method))

@@ -4,12 +4,18 @@ Success probability of the typical link under Rayleigh fading and typed
 Poisson interference, for the pure power-law and the bounded attenuation,
 plus Shannon throughput obtained by integrating the success probability over
 rate thresholds.
+
+Each type k has one rate integral I_k = int_0^inf P(log2(1 + SIR) > y) dy,
+computed once per (network, bandwidth, k) and cached. Every throughput is a
+scaling of it: the type-k rate I_k * k / n, the rate per chunk I_k / n and
+the rate per joule I_k / (n * P); the overall values average these views
+over the type mix.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -80,7 +86,7 @@ def success_prob_ki(
     p_i = ba.type_probs[i - 1]
     if p_i == 0.0:
         return 1.0
-    thinned = NetworkParams(net.intensity * p_i, net.link_distance, net.pathloss)
+    thinned = replace(net, intensity=net.intensity * p_i)
     only_i = BandwidthConfig.single_type(ba.n_chunks, i, ba.mode, ba.power_per_chunk)
     return success_prob_k(thinned, only_i, k, theta)
 
@@ -112,11 +118,7 @@ def success_prob_k(net: NetworkParams, ba: BandwidthConfig, k: int, theta: float
 def success_prob_overall(net: NetworkParams, ba: BandwidthConfig, theta: float) -> float:
     """P(SIR > theta) with the typical user's type averaged over the mix."""
     theta = _check_theta(theta)
-    return math.fsum(
-        p_k * success_prob_k(net, ba, k, theta)
-        for k, p_k in enumerate(ba.type_probs, start=1)
-        if p_k > 0.0
-    )
+    return ba.mix_average(lambda k: success_prob_k(net, ba, k, theta))
 
 
 @dataclass(frozen=True)
@@ -135,9 +137,14 @@ class ThroughputResult:
     truncated: bool
 
 
-def _rate_ccdf_integral(net: NetworkParams, ba: BandwidthConfig, k: int):
-    """Integral over y of P(log2(1 + SIR) > y) for a type-k link."""
+def _rate_ccdf_integral(net: NetworkParams, ba: BandwidthConfig, k: int) -> ThroughputResult:
+    """I_k, the integral over y of P(log2(1 + SIR) > y) for a type-k link;
+    every throughput is a fixed multiple of it. Cached per (net, ba, k)."""
+    return _rate_ccdf_quad(net, ba, _check_type(ba.n_chunks, k, "k"))
 
+
+@lru_cache(maxsize=None)
+def _rate_ccdf_quad(net: NetworkParams, ba: BandwidthConfig, k: int) -> ThroughputResult:
     def integrand(y: float) -> float:
         return success_prob_k(net, ba, k, 2.0**y - 1.0)
 
@@ -161,65 +168,61 @@ def _rate_ccdf_integral(net: NetworkParams, ba: BandwidthConfig, k: int):
         # mass is at most f(y_max) / (delta ln 2 * -ln f(y_max))
         s = -math.log(f_end)
         tail = f_end / (net.pathloss.delta * math.log(2.0) * max(s, 1.0))
-    return value, tail, y_max, truncated
+    return ThroughputResult(value, tail, y_max, truncated)
+
+
+def _scaled(result: ThroughputResult, factor: float) -> ThroughputResult:
+    return ThroughputResult(
+        factor * result.value, factor * result.tail_bound, result.y_max, result.truncated
+    )
 
 
 def shannon_throughput_k(net: NetworkParams, ba: BandwidthConfig, k: int) -> ThroughputResult:
-    """Ergodic rate of a type-k link over its k/n slice of the unit band (bit/s)."""
-    value, tail, y_max, truncated = _rate_ccdf_integral(net, ba, k)
-    frac = k / ba.n_chunks
-    return ThroughputResult(frac * value, frac * tail, y_max, truncated)
+    """Ergodic rate of a type-k link over its k/n slice of the unit band
+    (bit/s): I_k * k / n."""
+    return _scaled(_rate_ccdf_integral(net, ba, k), k / ba.n_chunks)
 
 
 def shannon_throughput_per_joule_k(
     net: NetworkParams, ba: BandwidthConfig, k: int
 ) -> ThroughputResult:
-    """Type-k throughput normalized by the spent power k * P (bit/J)."""
-    result = shannon_throughput_k(net, ba, k)
-    denom = k * ba.power_per_chunk
-    return ThroughputResult(
-        result.value / denom, result.tail_bound / denom, result.y_max, result.truncated
-    )
+    """Type-k throughput normalized by the spent power k * P (bit/J):
+    I_k / (n * P)."""
+    return _scaled(_rate_ccdf_integral(net, ba, k), 1.0 / (ba.n_chunks * ba.power_per_chunk))
 
 
 def shannon_throughput_per_hz_k(
     net: NetworkParams, ba: BandwidthConfig, k: int
 ) -> ThroughputResult:
     """Type-k throughput normalized by the occupied bandwidth, counted in
-    chunks; equals the per-joule value times the chunk power."""
-    result = shannon_throughput_per_joule_k(net, ba, k)
-    p = ba.power_per_chunk
-    return ThroughputResult(
-        result.value * p, result.tail_bound * p, result.y_max, result.truncated
-    )
+    chunks: I_k / n."""
+    return _scaled(_rate_ccdf_integral(net, ba, k), 1.0 / ba.n_chunks)
 
 
-def _mix_average(net: NetworkParams, ba: BandwidthConfig, per_type) -> ThroughputResult:
-    """A per-type throughput function with the typical user's type averaged
-    over the mix: values and tail bounds weighted, the widest y_max, and
+def _mix_view(net: NetworkParams, ba: BandwidthConfig, view) -> ThroughputResult:
+    """A per-type throughput view with the typical user's type averaged over
+    the mix: values and tail bounds weighted, the widest y_max, and
     truncated if any type is."""
-    value = 0.0
-    tail = 0.0
-    y_max = 0.0
-    truncated = False
-    for k, p_k in enumerate(ba.type_probs, start=1):
-        if p_k == 0.0:
-            continue
-        res = per_type(net, ba, k)
-        value += p_k * res.value
-        tail += p_k * res.tail_bound
-        y_max = max(y_max, res.y_max)
-        truncated = truncated or res.truncated
-    return ThroughputResult(value, tail, y_max, truncated)
+    mixed = [
+        _rate_ccdf_integral(net, ba, k)
+        for k in range(1, ba.n_chunks + 1)
+        if ba.type_probs[k - 1] > 0.0
+    ]
+    return ThroughputResult(
+        ba.mix_average(lambda k: view(net, ba, k).value),
+        ba.mix_average(lambda k: view(net, ba, k).tail_bound),
+        max(r.y_max for r in mixed),
+        any(r.truncated for r in mixed),
+    )
 
 
 def shannon_throughput_overall(net: NetworkParams, ba: BandwidthConfig) -> ThroughputResult:
     """Throughput with the typical user's type averaged over the mix."""
-    return _mix_average(net, ba, shannon_throughput_k)
+    return _mix_view(net, ba, shannon_throughput_k)
 
 
 def shannon_throughput_per_joule_overall(
     net: NetworkParams, ba: BandwidthConfig
 ) -> ThroughputResult:
     """Mix-averaged throughput per joule."""
-    return _mix_average(net, ba, shannon_throughput_per_joule_k)
+    return _mix_view(net, ba, shannon_throughput_per_joule_k)

@@ -93,9 +93,16 @@ class BandwidthConfig:
         probs[k - 1] = 1.0
         return cls(n_chunks, tuple(probs), mode, power_per_chunk)
 
+    def mix_average(self, per_type) -> float:
+        """sum_k p_k * per_type(k) over the types in the mix; ``per_type`` is
+        never evaluated at a type with p_k = 0."""
+        return math.fsum(
+            p_k * per_type(k) for k, p_k in enumerate(self.type_probs, start=1) if p_k > 0.0
+        )
+
     def mean_type(self) -> float:
         """Average number of occupied chunks, sum_k k * p_k."""
-        return math.fsum((i + 1) * p for i, p in enumerate(self.type_probs))
+        return self.mix_average(lambda k: k)
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,15 @@ class ConditionalMode(str, Enum):
     FULLY_EMPIRICAL = "fully_empirical"              # redraw fading/chunks and count
 
 
+def _check_count(value, name: str, error: type[Exception]) -> int:
+    """A positive integer (bools rejected), raising ``error`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise error(f"{name} must be >= 1, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Monte Carlo settings.
@@ -59,13 +68,8 @@ class SimConfig:
     conditional_mode: ConditionalMode = ConditionalMode.CLOSED_FORM_GIVEN_PHI
 
     def __post_init__(self) -> None:
-        if isinstance(self.n_realizations, bool) or not isinstance(
-            self.n_realizations, (int, np.integer)
-        ):
-            raise ConfigError("n_realizations must be an integer")
-        object.__setattr__(self, "n_realizations", int(self.n_realizations))
-        if self.n_realizations < 1:
-            raise ConfigError("n_realizations must be >= 1")
+        for name in ("n_realizations", "n_fading_draws"):
+            object.__setattr__(self, name, _check_count(getattr(self, name), name, ConfigError))
         if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
             raise ConfigError("seed must be an integer")
         object.__setattr__(self, "seed", int(self.seed))
@@ -76,9 +80,6 @@ class SimConfig:
             object.__setattr__(self, "window_radius", radius)
             if not math.isfinite(radius) or radius <= 0.0:
                 raise ConfigError("window_radius must be finite and > 0")
-        object.__setattr__(self, "n_fading_draws", int(self.n_fading_draws))
-        if self.n_fading_draws < 1:
-            raise ConfigError("n_fading_draws must be >= 1")
         try:
             object.__setattr__(
                 self, "conditional_mode", ConditionalMode(self.conditional_mode)
@@ -253,6 +254,11 @@ def conditional_success_prob(
     """
     k = _check_type(ba.n_chunks, k, "k")
     theta = _check_theta(theta)
+    try:
+        mode = ConditionalMode(mode)
+    except ValueError as exc:
+        raise DomainError(str(exc)) from None
+    n_fading_draws = _check_count(n_fading_draws, "n_fading_draws", DomainError)
     dist = real.distances()
     if mode is ConditionalMode.CLOSED_FORM_GIVEN_PHI:
         if dist.size == 0:

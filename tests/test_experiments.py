@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from bwalloc import metrics
 from bwalloc.cli import main
 from bwalloc.errors import ConfigError
 from bwalloc.experiments import (
@@ -210,13 +211,20 @@ def test_partial_csv_removed_on_failure(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_parse_config_errors():
+def test_parse_config_errors(tmp_path):
     with pytest.raises(ConfigError):
         parse_config("[network]\nintensity = banana\n")
     with pytest.raises(ConfigError):
         parse_config("not a config at all [")
     with pytest.raises(ConfigError):
         parse_config("[bandwidth]\ntype_probs = 0.5, oops\n")
+    # without a base spec the experiment cannot be defaulted
+    with pytest.raises(ConfigError):
+        parse_config("[network]\nintensity = 0.3\n")
+    bare = tmp_path / "bare.csv"
+    bare.write_text("a,b\n1,2\n")
+    with pytest.raises(ConfigError):
+        read_csv_config(str(bare))
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +245,22 @@ def test_figure_fig2(tmp_path):
     assert header == ["theta_db", "ps_only_type_1", "ps_uniform", "ps_only_type_3"]
     for row in rows:
         assert row[1] >= row[2] >= row[3]
+
+
+def test_figure_fig4_computes_each_rate_integral_once(tmp_path, monkeypatch):
+    # 13 intensities x 3 types; every throughput column reads the same integrals
+    calls = 0
+    quad = metrics.integrate.quad
+
+    def counting_quad(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return quad(*args, **kwargs)
+
+    metrics._rate_ccdf_quad.cache_clear()
+    monkeypatch.setattr(metrics.integrate, "quad", counting_quad)
+    run_figure("fig4", str(tmp_path / "fig4.csv"))
+    assert calls == 39
 
 
 def test_figure_unknown():

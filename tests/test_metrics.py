@@ -372,6 +372,23 @@ def test_overall_throughput_degenerate_and_bounds():
     assert min(per_j) <= overall_j <= max(per_j)
 
 
+@pytest.mark.parametrize("net", [BOUNDED, POWER_LAW], ids=["bounded", "power_law"])
+def test_overall_throughput_is_mix_average_of_views(net):
+    ba = BandwidthConfig(4, (0.5, 0.0, 0.2, 0.3), power_per_chunk=3.0)
+    for overall, view in (
+        (shannon_throughput_overall, shannon_throughput_k),
+        (shannon_throughput_per_joule_overall, shannon_throughput_per_joule_k),
+    ):
+        res = overall(net, ba)
+        parts = {k: view(net, ba, k) for k in (1, 3, 4)}
+        expected = math.fsum(ba.type_probs[k - 1] * r.value for k, r in parts.items())
+        tail = math.fsum(ba.type_probs[k - 1] * r.tail_bound for k, r in parts.items())
+        assert res.value == pytest.approx(expected, rel=1e-15, abs=0.0)
+        assert res.tail_bound == pytest.approx(tail, rel=1e-15, abs=0.0)
+        assert res.y_max == max(r.y_max for r in parts.values())
+        assert res.truncated == any(r.truncated for r in parts.values())
+
+
 def test_overall_throughput_crossover_power_law():
     # full-band-only mix wins in sparse networks, loses in dense ones
     all3 = BandwidthConfig(3, (0.0, 0.0, 1.0), power_per_chunk=2.0)

@@ -144,6 +144,9 @@ def test_sim_config_validation():
         SimConfig(window_radius=-2.0)
     with pytest.raises(ConfigError):
         SimConfig(conditional_mode="psychic")
+    for bad in (0, 2.5, True):
+        with pytest.raises(ConfigError):
+            SimConfig(n_fading_draws=bad)
     with pytest.raises(ConfigError):
         EstimateWithCI(0.5, -1.0, 10)
 
@@ -237,6 +240,18 @@ def test_conditional_requires_rng_for_empirical():
     for theta in (0.0, -1.0, math.nan):
         with pytest.raises(DomainError):
             conditional_success_prob(real, BOUNDED, UNIFORM3, 1, theta)
+    with pytest.raises(DomainError):
+        conditional_success_prob(real, BOUNDED, UNIFORM3, 1, 1.0, mode="psychic")
+    for draws in (0, -3, 2.5, True):
+        with pytest.raises(DomainError):
+            conditional_success_prob(real, BOUNDED, UNIFORM3, 1, 1.0, n_fading_draws=draws)
+    # a mode given by its value selects the same route as the enum member
+    closed = conditional_success_prob(real, BOUNDED, UNIFORM3, 1, 1.0)
+    by_value = conditional_success_prob(
+        real, BOUNDED, UNIFORM3, 1, 1.0, mode="closed_form_given_phi",
+        rng=np.random.default_rng(0),
+    )
+    assert by_value == closed
 
 
 # ---------------------------------------------------------------------------
