@@ -18,6 +18,7 @@ from .experiments import (
     Metric,
     SweepSpec,
     SweepVariable,
+    _parse_probs,
     default_bandwidth,
     default_network,
     parse_config,
@@ -49,7 +50,6 @@ _DEFAULT_SWEEPS = {
     Metric.SUCCESS_PROB: ("-20:20:41", SweepVariable.THETA_DB, "linear"),
     Metric.META_DIST: ("0.05:0.95:19", SweepVariable.X, "linear"),
     Metric.THROUGHPUT: ("0.01:1:13", SweepVariable.LAMBDA, "log"),
-    Metric.THROUGHPUT_PER_JOULE: ("0.01:1:13", SweepVariable.LAMBDA, "log"),
     Metric.MEAN_MODEL: ("-20:20:41", SweepVariable.THETA_DB, "linear"),
     Metric.SIMULATE: ("-10:10:5", SweepVariable.THETA_DB, "linear"),
 }
@@ -93,9 +93,6 @@ def build_parser() -> _Parser:
                 help="sweep the intensity or the user type",
             )
             sub.add_argument(
-                "--per-joule", action="store_true", help="emit only per-joule columns"
-            )
-            sub.add_argument(
                 "--compare-modes", action="store_true",
                 help="k sweeps only: random and contiguous columns side by side",
             )
@@ -126,13 +123,9 @@ def _spec_from_args(args) -> ExperimentSpec:
         "simulate": Metric.SIMULATE,
     }
     metric = verb_metric[args.verb]
-    if metric is Metric.THROUGHPUT and getattr(args, "per_joule", False):
-        metric = Metric.THROUGHPUT_PER_JOULE
-
     sweep_text, variable, scale = _DEFAULT_SWEEPS[metric]
-    if metric in (Metric.THROUGHPUT, Metric.THROUGHPUT_PER_JOULE):
-        if getattr(args, "sweep_var", "lambda") == "k":
-            variable, sweep_text, scale = SweepVariable.K, "1:3:3", "linear"
+    if metric is Metric.THROUGHPUT and args.sweep_var == "k":
+        variable, sweep_text, scale = SweepVariable.K, "1:3:3", "linear"
     mm_metric = getattr(args, "metric", "success-prob").replace("-", "_")
     if metric is Metric.MEAN_MODEL and mm_metric != "success_prob":
         variable, sweep_text, scale = SweepVariable.LAMBDA, "0.01:1:13", "log"
@@ -148,9 +141,7 @@ def _spec_from_args(args) -> ExperimentSpec:
         sim=SimConfig(),
         theta_db=getattr(args, "theta_db", None),
         alt_type_probs=(
-            tuple(float(p) for p in args.alt_probs.split(","))
-            if getattr(args, "alt_probs", None)
-            else None
+            _parse_probs(args.alt_probs) if getattr(args, "alt_probs", None) else None
         ),
         mean_model_metric=mm_metric,
         compare_modes=getattr(args, "compare_modes", False),

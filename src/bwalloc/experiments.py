@@ -55,7 +55,6 @@ class Metric(str, Enum):
     SUCCESS_PROB = "success_prob"
     META_DIST = "meta_dist"
     THROUGHPUT = "throughput"
-    THROUGHPUT_PER_JOULE = "throughput_per_joule"
     MEAN_MODEL = "mean_model"
     SIMULATE = "simulate"
 
@@ -107,7 +106,16 @@ _MEAN_MODEL_METRICS = ("success_prob", "throughput", "throughput_per_joule")
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Fully resolved description of one sweep run."""
+    """Fully resolved description of one sweep run.
+
+    ``compare_mixes`` replaces the per-type and overall columns of the
+    success, throughput-versus-intensity and simulate tables with one
+    mix-averaged column per listed type mix, each evaluated on
+    ``bandwidth`` with its ``type_probs`` swapped for the mix. Columns are
+    named ``uniform``, ``only_type_k`` for a single-type mix and ``mix_j``
+    (1-based position) otherwise. ``compare_modes`` likewise puts the
+    random and contiguous modes side by side on k sweeps.
+    """
 
     metric: Metric
     sweep: SweepSpec
@@ -118,6 +126,7 @@ class ExperimentSpec:
     alt_type_probs: tuple[float, ...] | None = None
     mean_model_metric: str = "success_prob"
     compare_modes: bool = False
+    compare_mixes: tuple[tuple[float, ...], ...] | None = None
     output: str | None = None
 
     def __post_init__(self) -> None:
@@ -145,9 +154,14 @@ class ExperimentSpec:
         elif metric in (Metric.SUCCESS_PROB, Metric.SIMULATE):
             if var is not SweepVariable.THETA_DB:
                 raise ConfigError(f"{metric.value} sweeps theta_db")
-        elif metric in (Metric.THROUGHPUT, Metric.THROUGHPUT_PER_JOULE):
+        elif metric is Metric.THROUGHPUT:
             if var not in (SweepVariable.LAMBDA, SweepVariable.K):
                 raise ConfigError(f"{metric.value} sweeps lambda or k")
+            if var is SweepVariable.K:
+                n = self.bandwidth.n_chunks
+                for v in self.sweep.values():
+                    if abs(v - round(v)) > 1e-9 or not 1 <= round(v) <= n:
+                        raise ConfigError(f"k sweep value {v!r} is not a type in [1, {n}]")
         elif metric is Metric.MEAN_MODEL:
             if self.alt_type_probs is None:
                 raise ConfigError("mean_model needs alt_type_probs")
@@ -160,6 +174,21 @@ class ExperimentSpec:
                 raise ConfigError("mean_model throughput sweeps lambda")
         if self.compare_modes and var is not SweepVariable.K:
             raise ConfigError("compare_modes applies only to k sweeps")
+        if self.compare_mixes is not None:
+            if metric in (Metric.META_DIST, Metric.MEAN_MODEL) or var is SweepVariable.K:
+                raise ConfigError(
+                    "compare_mixes applies to success_prob, simulate and lambda sweeps"
+                )
+            try:
+                mixes = tuple(
+                    replace(self.bandwidth, type_probs=mix).type_probs
+                    for mix in self.compare_mixes
+                )
+            except ConfigError as exc:
+                raise ConfigError(f"compare_mixes: {exc}") from None
+            if not mixes or len(set(mixes)) != len(mixes):
+                raise ConfigError("compare_mixes needs distinct mixes")
+            object.__setattr__(self, "compare_mixes", mixes)
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +205,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _fmt_probs(probs) -> str:
+    return "none" if probs is None else ", ".join(repr(p) for p in probs)
+
+
+def _fmt_mixes(mixes) -> str:
+    return "none" if mixes is None else "; ".join(_fmt_probs(mix) for mix in mixes)
+
+
 def render_config(spec: ExperimentSpec) -> str:
     """Resolved experiment as section-structured key/value lines."""
     cp = ConfigParser(interpolation=None)
@@ -187,7 +224,7 @@ def render_config(spec: ExperimentSpec) -> str:
     }
     cp["bandwidth"] = {
         "n_chunks": _fmt(spec.bandwidth.n_chunks),
-        "type_probs": ", ".join(repr(p) for p in spec.bandwidth.type_probs),
+        "type_probs": _fmt_probs(spec.bandwidth.type_probs),
         "mode": spec.bandwidth.mode.value,
         "power_per_chunk": _fmt(spec.bandwidth.power_per_chunk),
     }
@@ -206,13 +243,10 @@ def render_config(spec: ExperimentSpec) -> str:
         "sweep_points": _fmt(spec.sweep.points),
         "sweep_scale": spec.sweep.scale,
         "theta_db": _fmt(spec.theta_db),
-        "alt_type_probs": (
-            "none"
-            if spec.alt_type_probs is None
-            else ", ".join(repr(p) for p in spec.alt_type_probs)
-        ),
+        "alt_type_probs": _fmt_probs(spec.alt_type_probs),
         "mean_model_metric": spec.mean_model_metric,
         "compare_modes": _fmt(spec.compare_modes),
+        "compare_mixes": _fmt_mixes(spec.compare_mixes),
         "output": _fmt(spec.output),
     }
     lines = []
@@ -310,6 +344,7 @@ def parse_config(text: str, base: ExperimentSpec | None = None) -> ExperimentSpe
             )
             theta_db = _opt(sec.get("theta_db", _fmt(base.theta_db)))
             alt_text = _opt(sec.get("alt_type_probs", "none"))
+            mixes_text = _opt(sec.get("compare_mixes", _fmt_mixes(base.compare_mixes)))
             output = _opt(sec.get("output", _fmt(base.output)))
             return ExperimentSpec(
                 metric=sec.get("metric", base.metric.value),
@@ -321,6 +356,11 @@ def parse_config(text: str, base: ExperimentSpec | None = None) -> ExperimentSpe
                 alt_type_probs=None if alt_text is None else _parse_probs(alt_text),
                 mean_model_metric=sec.get("mean_model_metric", base.mean_model_metric),
                 compare_modes=sec.getboolean("compare_modes", base.compare_modes),
+                compare_mixes=(
+                    None
+                    if mixes_text is None
+                    else tuple(_parse_probs(mix) for mix in mixes_text.split(";"))
+                ),
                 output=output,
             )
         if require_experiment:
@@ -340,14 +380,40 @@ def _type_range(ba: BandwidthConfig) -> range:
     return range(1, ba.n_chunks + 1)
 
 
+def _mix_name(mix: tuple[float, ...], j: int) -> str:
+    if len(set(mix)) == 1:
+        return "uniform"
+    nonzero = [k for k, p in enumerate(mix, start=1) if p > 0.0]
+    return f"only_type_{nonzero[0]}" if len(nonzero) == 1 else f"mix_{j}"
+
+
+def _series(spec: ExperimentSpec):
+    """(column suffix, bandwidth, type) for each output series; type None is
+    the average over the bandwidth's type mix."""
+    ba = spec.bandwidth
+    if spec.compare_mixes is None:
+        return [(f"type_{k}", ba, k) for k in _type_range(ba)] + [("overall", ba, None)]
+    return [
+        (_mix_name(mix, j), replace(ba, type_probs=mix), None)
+        for j, mix in enumerate(spec.compare_mixes, start=1)
+    ]
+
+
+def _evaluate(per_type, overall, net, ba, k, *args):
+    """``per_type`` at type k, or ``overall`` when k is None."""
+    return overall(net, ba, *args) if k is None else per_type(net, ba, k, *args)
+
+
 def _success_table(spec: ExperimentSpec):
-    net, ba = spec.network, spec.bandwidth
-    header = ["theta_db"] + [f"ps_type_{k}" for k in _type_range(ba)] + ["ps_overall"]
+    net, series = spec.network, _series(spec)
+    header = ["theta_db"] + [f"ps_{name}" for name, _, _ in series]
 
     def row(theta_db: float):
         theta = db_to_linear(theta_db)
-        per_type = [success_prob_k(net, ba, k, theta) for k in _type_range(ba)]
-        return [theta_db, *per_type, success_prob_overall(net, ba, theta)]
+        return [theta_db] + [
+            _evaluate(success_prob_k, success_prob_overall, net, ba, k, theta)
+            for _, ba, k in series
+        ]
 
     return header, [row(v) for v in spec.sweep.values()]
 
@@ -369,21 +435,26 @@ def _meta_table(spec: ExperimentSpec):
     return header, [row(v) for v in spec.sweep.values()]
 
 
-def _throughput_lambda_table(spec: ExperimentSpec, per_joule_only: bool):
-    ba = spec.bandwidth
-    types = list(_type_range(ba))
-    rate_cols = [f"rate_type_{k}" for k in types] + ["rate_overall"]
-    joule_cols = [f"rate_per_joule_type_{k}" for k in types] + ["rate_per_joule_overall"]
-    header = ["lambda"] + (joule_cols if per_joule_only else rate_cols + joule_cols)
+def _throughput_lambda_table(spec: ExperimentSpec):
+    series = _series(spec)
+    header = (
+        ["lambda"]
+        + [f"rate_{name}" for name, _, _ in series]
+        + [f"rate_per_joule_{name}" for name, _, _ in series]
+    )
 
     def row(lam: float):
         net = replace(spec.network, intensity=lam)
-        rates = [shannon_throughput_k(net, ba, k).value for k in types]
-        rates.append(shannon_throughput_overall(net, ba).value)
-        joules = [shannon_throughput_per_joule_k(net, ba, k).value for k in types]
-        joules.append(shannon_throughput_per_joule_overall(net, ba).value)
-        if per_joule_only:
-            return [lam, *joules]
+        rates = [
+            _evaluate(shannon_throughput_k, shannon_throughput_overall, net, ba, k).value
+            for _, ba, k in series
+        ]
+        joules = [
+            _evaluate(
+                shannon_throughput_per_joule_k, shannon_throughput_per_joule_overall, net, ba, k
+            ).value
+            for _, ba, k in series
+        ]
         return [lam, *rates, *joules]
 
     return header, [row(v) for v in spec.sweep.values()]
@@ -391,9 +462,7 @@ def _throughput_lambda_table(spec: ExperimentSpec, per_joule_only: bool):
 
 def _throughput_type_table(spec: ExperimentSpec):
     net, ba = spec.network, spec.bandwidth
-    ks = sorted({int(round(v)) for v in spec.sweep.values()})
-    if any(not 1 <= k <= ba.n_chunks for k in ks):
-        raise ConfigError("k sweep leaves [1, n_chunks]")
+    ks = [int(round(v)) for v in spec.sweep.values()]
     if spec.compare_modes:
         header = [
             "k",
@@ -473,24 +542,19 @@ def _mean_model_table(spec: ExperimentSpec):
 
 
 def _simulate_table(spec: ExperimentSpec):
-    net, ba, sim = spec.network, spec.bandwidth, spec.sim
+    net, sim, series = spec.network, spec.sim, _series(spec)
     theta_dbs = list(spec.sweep.values())
     thetas = [db_to_linear(db) for db in theta_dbs]
     header = ["theta_db"]
-    for k in _type_range(ba):
-        header += [f"sim_ps_type_{k}", f"se_type_{k}"]
-    header += ["sim_ps_overall", "se_overall"]
-
-    columns = []
-    for k in _type_range(ba):
-        columns.append(success_prob_curve(net, ba, sim, k, thetas))
-    columns.append(success_prob_curve(net, ba, sim, None, thetas))
+    for name, _, _ in series:
+        header += [f"sim_ps_{name}", f"se_{name}"]
+    columns = [success_prob_curve(net, ba, sim, k, thetas) for _, ba, k in series]
 
     rows = []
     for j, theta_db in enumerate(theta_dbs):
         row = [theta_db]
-        for series in columns:
-            row += [series[j].value, series[j].std_error]
+        for column in columns:
+            row += [column[j].value, column[j].std_error]
         rows.append(row)
     return header, rows
 
@@ -504,11 +568,7 @@ def run_experiment(spec: ExperimentSpec):
     if spec.metric is Metric.THROUGHPUT:
         if spec.sweep.variable is SweepVariable.K:
             return _throughput_type_table(spec)
-        return _throughput_lambda_table(spec, per_joule_only=False)
-    if spec.metric is Metric.THROUGHPUT_PER_JOULE:
-        if spec.sweep.variable is SweepVariable.K:
-            return _throughput_type_table(spec)
-        return _throughput_lambda_table(spec, per_joule_only=True)
+        return _throughput_lambda_table(spec)
     if spec.metric is Metric.MEAN_MODEL:
         return _mean_model_table(spec)
     if spec.metric is Metric.SIMULATE:
@@ -565,6 +625,10 @@ def run_and_write(spec: ExperimentSpec, path: str | None = None):
 
 # ---------------------------------------------------------------------------
 # figure presets
+
+
+# all users on one chunk, the uniform mix, and all users on the full band
+_NARROW_UNIFORM_WIDE = ((1.0, 0.0, 0.0), (1 / 3, 1 / 3, 1 / 3), (0.0, 0.0, 1.0))
 
 
 def _preset_fig1() -> ExperimentSpec:
@@ -626,71 +690,23 @@ def _preset_fig9() -> ExperimentSpec:
     )
 
 
-def _run_fig2():
-    sweep = SweepSpec(SweepVariable.THETA_DB, -20.0, 20.0, 41)
-    net = default_network()
-    mixes = {
-        "ps_only_type_1": BandwidthConfig(3, (1.0, 0.0, 0.0), power_per_chunk=2.0),
-        "ps_uniform": default_bandwidth(),
-        "ps_only_type_3": BandwidthConfig(3, (0.0, 0.0, 1.0), power_per_chunk=2.0),
-    }
-    header = ["theta_db"] + list(mixes)
-    rows = [
-        [db, *(success_prob_overall(net, ba, db_to_linear(db)) for ba in mixes.values())]
-        for db in sweep.values()
-    ]
-    spec = ExperimentSpec(Metric.SUCCESS_PROB, sweep)
-    return spec, header, rows
-
-
-def _run_fig5():
-    sweep = SweepSpec(SweepVariable.LAMBDA, 0.01, 1.0, 13, scale="log")
-    network = NetworkParams(0.2, 1.0, PathLossModel.power_law(4.0))
-    mixes = {
-        "only_type_1": BandwidthConfig(3, (1.0, 0.0, 0.0), power_per_chunk=2.0),
-        "uniform": default_bandwidth(),
-        "only_type_3": BandwidthConfig(3, (0.0, 0.0, 1.0), power_per_chunk=2.0),
-    }
-    header = (
-        ["lambda"]
-        + [f"rate_{name}" for name in mixes]
-        + [f"rate_per_joule_{name}" for name in mixes]
-    )
-    rows = []
-    for lam in sweep.values():
-        net = replace(network, intensity=lam)
-        rates = [shannon_throughput_overall(net, ba).value for ba in mixes.values()]
-        joules = [
-            shannon_throughput_per_joule_overall(net, ba).value for ba in mixes.values()
-        ]
-        rows.append([lam, *rates, *joules])
-    spec = ExperimentSpec(Metric.THROUGHPUT, sweep, network=network)
-    return spec, header, rows
-
-
 FIGURE_PRESETS = {
     "fig1": _preset_fig1,
+    "fig2": lambda: replace(_preset_fig1(), compare_mixes=_NARROW_UNIFORM_WIDE),
     "fig3": _preset_fig3,
     "fig4": _preset_fig4,
+    "fig5": lambda: replace(_preset_fig4(), compare_mixes=_NARROW_UNIFORM_WIDE),
     "fig6": _preset_fig6,
     "fig7": _preset_fig7,
     "fig8": _preset_fig8,
     "fig9": _preset_fig9,
 }
 
-_SPECIAL_FIGURES = {"fig2": _run_fig2, "fig5": _run_fig5}
-
-FIGURE_NAMES = tuple(sorted([*FIGURE_PRESETS, *_SPECIAL_FIGURES]))
+FIGURE_NAMES = tuple(sorted(FIGURE_PRESETS))
 
 
 def run_figure(name: str, out_path: str | None = None):
     """Run one preset and emit its CSV; returns (header, rows, path)."""
-    if name in FIGURE_PRESETS:
-        spec = FIGURE_PRESETS[name]()
-        return run_and_write(spec, out_path or f"{name}.csv")
-    if name in _SPECIAL_FIGURES:
-        spec, header, rows = _SPECIAL_FIGURES[name]()
-        out = out_path or f"{name}.csv"
-        write_csv(replace(spec, output=out), header, rows, out)
-        return header, rows, out
-    raise ConfigError(f"unknown figure {name!r}; choose from {', '.join(FIGURE_NAMES)}")
+    if name not in FIGURE_PRESETS:
+        raise ConfigError(f"unknown figure {name!r}; choose from {', '.join(FIGURE_NAMES)}")
+    return run_and_write(FIGURE_PRESETS[name](), out_path or f"{name}.csv")

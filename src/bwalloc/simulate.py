@@ -153,11 +153,6 @@ def _window(net: NetworkParams, sim: SimConfig) -> float:
     return radius
 
 
-def _window_starts(n_chunks: int, types: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """0-based start of a uniformly placed window for each entry of ``types``."""
-    return (rng.random(types.shape) * (n_chunks - types + 1)).astype(np.int64)
-
-
 def _sample_occupancy(
     ba: BandwidthConfig, types: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
@@ -173,7 +168,8 @@ def _sample_occupancy(
             ranks, order, np.broadcast_to(np.arange(n_chunks), (n, n_chunks)).copy(), axis=1
         )
         return ranks < types[:, None]
-    starts = _window_starts(n_chunks, types, rng)
+    # 0-based start of a uniformly placed window for each user
+    starts = (rng.random(n) * (n_chunks - types + 1)).astype(np.int64)
     cols = np.arange(n_chunks)
     return (cols >= starts[:, None]) & (cols < (starts + types)[:, None])
 
@@ -281,16 +277,9 @@ def conditional_success_prob(
         m = min(block, n_fading_draws - done)
         types = sample_type(ba, rng, (m, n))
         typical_types = np.full(m, k, dtype=np.int64)
-        if ba.mode is AllocationMode.RANDOM:
-            occ = _sample_occupancy(ba, types.ravel(), rng).reshape(m, n, ba.n_chunks)
-            typ = _sample_occupancy(ba, typical_types, rng)
-            t_x = (occ & typ[:, None, :]).sum(axis=2)
-        else:
-            starts = _window_starts(ba.n_chunks, types, rng)
-            typ_starts = _window_starts(ba.n_chunks, typical_types, rng)
-            lo = np.maximum(starts, typ_starts[:, None])
-            hi = np.minimum(starts + types, (typ_starts + k)[:, None])
-            t_x = np.maximum(0, hi - lo)
+        occ = _sample_occupancy(ba, types.ravel(), rng).reshape(m, n, ba.n_chunks)
+        typ = _sample_occupancy(ba, typical_types, rng)
+        t_x = (occ & typ[:, None, :]).sum(axis=2)
         h = rng.exponential(1.0, (m, n))
         h0 = rng.exponential(1.0, m)
         interference = (t_x * h * attenuation[None, :]).sum(axis=1)

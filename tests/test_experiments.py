@@ -1,6 +1,8 @@
 """Experiment runner, config round-trip, CSV format, and CLI tests."""
 
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,6 +74,40 @@ def test_spec_validation():
         _spec(compare_modes=True)
     with pytest.raises(ConfigError):
         _spec(metric="coverage")
+    # k sweeps must hit every type exactly once per point, inside [1, n]
+    k_sweep = dict(metric=Metric.THROUGHPUT)
+    with pytest.raises(ConfigError):
+        _spec(**k_sweep, sweep=SweepSpec(SweepVariable.K, 1, 3, 5))
+    with pytest.raises(ConfigError):
+        _spec(**k_sweep, sweep=SweepSpec(SweepVariable.K, 0, 3, 4))
+    with pytest.raises(ConfigError):
+        _spec(**k_sweep, sweep=SweepSpec(SweepVariable.K, 1, 4, 4))
+    # compare_mixes: each mix is a valid mix for the bandwidth, and only
+    # the success, simulate and intensity-sweep tables take it
+    mix = ((1.0, 0.0, 0.0),)
+    with pytest.raises(ConfigError):
+        _spec(compare_mixes=((0.5, 0.5),))
+    with pytest.raises(ConfigError):
+        _spec(compare_mixes=((0.5, 0.5, 0.5),))
+    with pytest.raises(ConfigError):
+        _spec(compare_mixes=((1.0, 0.0, 0.0), (1.0, 0.0, 0.0)))
+    with pytest.raises(ConfigError):
+        _spec(compare_mixes=())
+    with pytest.raises(ConfigError):
+        ExperimentSpec(
+            Metric.META_DIST,
+            SweepSpec(SweepVariable.X, 0.1, 0.9, 5),
+            theta_db=-5.0,
+            compare_mixes=mix,
+        )
+    with pytest.raises(ConfigError):
+        _spec(
+            metric=Metric.MEAN_MODEL,
+            alt_type_probs=(0.3, 0.0, 0.7),
+            compare_mixes=mix,
+        )
+    with pytest.raises(ConfigError):
+        _spec(**k_sweep, sweep=SweepSpec(SweepVariable.K, 1, 3, 3), compare_mixes=mix)
 
 
 def test_success_prob_rows_match_library():
@@ -104,6 +140,34 @@ def test_throughput_lambda_rows():
     assert "rate_type_1" in header and "rate_per_joule_overall" in header
     # throughput decreases with intensity
     assert rows[0][1] > rows[-1][1]
+
+
+def test_compare_mixes_columns_follow_the_mixes():
+    mixes = ((0.0, 1.0, 0.0), (0.2, 0.3, 0.5))
+    header, rows = run_experiment(_spec(compare_mixes=mixes))
+    assert header == ["theta_db", "ps_only_type_2", "ps_mix_2"]
+    net = default_network()
+    for row in rows:
+        theta = db_to_linear(row[0])
+        for value, mix in zip(row[1:], mixes):
+            ba = BandwidthConfig(3, mix, power_per_chunk=2.0)
+            assert value == success_prob_overall(net, ba, theta)
+    sim = ExperimentSpec(
+        Metric.SIMULATE,
+        SweepSpec(SweepVariable.THETA_DB, 0.0, 0.0, 1),
+        sim=SimConfig(n_realizations=50, seed=3),
+        compare_mixes=mixes,
+    )
+    header, rows = run_experiment(sim)
+    assert header == [
+        "theta_db", "sim_ps_only_type_2", "se_only_type_2", "sim_ps_mix_2", "se_mix_2"
+    ]
+
+
+def test_throughput_k_rows_one_per_sweep_value():
+    spec = ExperimentSpec(Metric.THROUGHPUT, SweepSpec(SweepVariable.K, 3, 1, 3))
+    _, rows = run_experiment(spec)
+    assert [row[0] for row in rows] == [3.0, 2.0, 1.0]
 
 
 def test_throughput_k_rows_compare_modes():
@@ -169,6 +233,21 @@ def test_config_round_trip_exact():
         output="somewhere.csv",
     )
     assert parse_config(render_config(spec)) == spec
+    mixes = ExperimentSpec(
+        Metric.THROUGHPUT,
+        SweepSpec(SweepVariable.LAMBDA, 0.05, 0.5, 3, scale="log"),
+        compare_mixes=((1.0, 0.0, 0.0), (1 / 3, 1 / 3, 1 / 3), (0.1, 0.6, 0.3)),
+    )
+    assert parse_config(render_config(mixes)) == mixes
+
+
+def test_readme_config_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    spec = parse_config(block)
+    assert spec.bandwidth.type_probs == (1 / 3, 1 / 3, 1 / 3)
+    assert spec.network.pathloss.c0 == 1.0
+    assert spec.compare_mixes[1] == (1 / 3, 1 / 3, 1 / 3)
 
 
 def test_config_round_trip_through_csv(tmp_path):
@@ -247,6 +326,19 @@ def test_figure_fig2(tmp_path):
         assert row[1] >= row[2] >= row[3]
 
 
+def test_figure_fig5_header(tmp_path):
+    header, _, _ = run_figure("fig5", str(tmp_path / "fig5.csv"))
+    assert header == [
+        "lambda",
+        "rate_only_type_1",
+        "rate_uniform",
+        "rate_only_type_3",
+        "rate_per_joule_only_type_1",
+        "rate_per_joule_uniform",
+        "rate_per_joule_only_type_3",
+    ]
+
+
 def test_figure_fig4_computes_each_rate_integral_once(tmp_path, monkeypatch):
     # 13 intensities x 3 types; every throughput column reads the same integrals
     calls = 0
@@ -275,6 +367,8 @@ def test_all_figure_presets_complete(tmp_path):
         header, rows, path = run_figure(name, str(tmp_path / f"{name}.csv"))
         assert rows and os.path.exists(path)
         assert len(header) == len(rows[0])
+        # the echoed config re-runs to the same table
+        assert run_experiment(read_csv_config(path)) == (header, rows), name
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +412,15 @@ def test_cli_mean_model(tmp_path):
     assert "matched_power" in text and "matched_intensity" in text
 
 
+def test_cli_alt_probs_accept_fractions(tmp_path):
+    out = tmp_path / "mm.csv"
+    code = main(
+        ["mean-model", "--alt-probs", "1/3,1/3,1/3", "--sweep", "0:0:1", "--out", str(out)]
+    )
+    assert code == 0
+    assert read_csv_config(str(out)).alt_type_probs == (1 / 3, 1 / 3, 1 / 3)
+
+
 def test_cli_simulate(tmp_path):
     out = tmp_path / "sim.csv"
     code = main(
@@ -343,6 +446,9 @@ def test_cli_validation_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
     assert main(["success-prob", "--sweep", "0:1:0"]) == 1
     assert main(["mean-model", "--alt-probs", "0.5,0.5"]) == 1  # wrong length
+    assert main(["mean-model", "--alt-probs", "0.3,x,0.7"]) == 1
+    assert main(["throughput", "--per-joule"]) == 1  # removed flag
+    assert main(["throughput", "--sweep-var", "k", "--sweep", "1:3:5"]) == 1
     assert main(["figure"]) == 1  # missing name
 
 
