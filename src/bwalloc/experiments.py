@@ -187,7 +187,7 @@ class ExperimentSpec:
             except ConfigError as exc:
                 raise ConfigError(f"compare_mixes: {exc}") from None
             if not mixes or len(set(mixes)) != len(mixes):
-                raise ConfigError("compare_mixes needs distinct mixes")
+                raise ConfigError("compare_mixes needs one or more distinct mixes")
             object.__setattr__(self, "compare_mixes", mixes)
 
 
