@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Side-by-side table of closed-form metrics and Monte Carlo estimates.
 
-Rows cover each type and the mix (the typical type drawn per realization).
+Rows cover each type and the mix (the typical type drawn per realization),
+in both allocation modes.
 
 Usage:
     python scripts/crosscheck_simulation.py --realizations 10000 --seed 1
@@ -10,6 +11,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+from dataclasses import replace
 
 from bwalloc.experiments import db_to_linear, default_bandwidth, default_network
 from bwalloc.meanmodel import mean_interference_k, mean_interference_overall
@@ -20,6 +22,7 @@ from bwalloc.metrics import (
     success_prob_k,
     success_prob_overall,
 )
+from bwalloc.params import AllocationMode
 from bwalloc.simulate import (
     SimConfig,
     estimate_mean_interference,
@@ -41,17 +44,8 @@ def _row(label: str, ana: float, est) -> None:
     )
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--realizations", type=int, default=10_000)
-    parser.add_argument("--seed", type=int, default=1)
-    args = parser.parse_args()
-
-    net = default_network()
-    ba = default_bandwidth()
-    sim = SimConfig(n_realizations=args.realizations, seed=args.seed)
-    print(LINE.format("metric", "analytic", "simulated", "se", "z"))
-
+def _table(net, ba, sim) -> None:
+    """Print every row for one bandwidth configuration."""
     # k = None draws the typical type from the mix, against the mix averages
     types = (1, 2, 3, None)
     theta_dbs = (-10.0, 0.0, 10.0)
@@ -83,6 +77,20 @@ def main() -> int:
             _row("mean interference power, mix", mean_interference_overall(net, ba), est)
         else:
             _row(f"mean interference power, type {k}", mean_interference_k(net, ba, k), est)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--realizations", type=int, default=10_000)
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args()
+
+    net = default_network()
+    sim = SimConfig(n_realizations=args.realizations, seed=args.seed)
+    for mode in AllocationMode:
+        print(f"\n{mode.value} allocation")
+        print(LINE.format("metric", "analytic", "simulated", "se", "z"))
+        _table(net, replace(default_bandwidth(), mode=mode), sim)
     return 0
 
 

@@ -243,7 +243,13 @@ def sample_type(
     an int, anything else returns an integer array of that shape. Either way
     each type consumes one ``rng.random`` double.
     """
-    cum = np.cumsum(config.type_probs)
-    idx = np.searchsorted(cum, rng.random(size), side="right")
+    idx = np.searchsorted(_type_cdf(config), rng.random(size), side="right")
     types = np.minimum(idx, config.n_chunks - 1) + 1
     return int(types) if size is None else types
+
+
+@lru_cache(maxsize=None)
+def _type_cdf(config: BandwidthConfig) -> np.ndarray:
+    cdf = np.cumsum(config.type_probs)
+    cdf.flags.writeable = False
+    return cdf

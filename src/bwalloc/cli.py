@@ -54,6 +54,17 @@ _DEFAULT_SWEEPS = {
     Metric.SIMULATE: ("-10:10:5", SweepVariable.THETA_DB, "linear"),
 }
 
+#: meta-dist threshold when neither --theta-db nor the config file sets one
+_DEFAULT_META_THETA_DB = -5.0
+
+_VERB_METRIC = {
+    "success-prob": Metric.SUCCESS_PROB,
+    "meta-dist": Metric.META_DIST,
+    "throughput": Metric.THROUGHPUT,
+    "mean-model": Metric.MEAN_MODEL,
+    "simulate": Metric.SIMULATE,
+}
+
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="config file applied before flag overrides")
@@ -86,7 +97,10 @@ def build_parser() -> _Parser:
         sub = subs.add_parser(verb, help=blurb)
         _add_common(sub)
         if verb == "meta-dist":
-            sub.add_argument("--theta-db", type=float, default=-5.0, help="SIR threshold (dB)")
+            sub.add_argument(
+                "--theta-db", type=float,
+                help=f"SIR threshold (dB, default {_DEFAULT_META_THETA_DB:g})",
+            )
         if verb == "throughput":
             sub.add_argument(
                 "--sweep-var", choices=["lambda", "k"], default="lambda",
@@ -104,8 +118,7 @@ def build_parser() -> _Parser:
             sub.add_argument(
                 "--metric",
                 choices=["success-prob", "throughput", "throughput-per-joule"],
-                default="success-prob",
-                help="which overall metric to overlay",
+                help="which overall metric to overlay (default success-prob)",
             )
 
     fig = subs.add_parser("figure", help="run a preset sweep")
@@ -115,38 +128,39 @@ def build_parser() -> _Parser:
 
 
 def _spec_from_args(args) -> ExperimentSpec:
-    verb_metric = {
-        "success-prob": Metric.SUCCESS_PROB,
-        "meta-dist": Metric.META_DIST,
-        "throughput": Metric.THROUGHPUT,
-        "mean-model": Metric.MEAN_MODEL,
-        "simulate": Metric.SIMULATE,
-    }
-    metric = verb_metric[args.verb]
+    metric = _VERB_METRIC[args.verb]
     sweep_text, variable, scale = _DEFAULT_SWEEPS[metric]
     if metric is Metric.THROUGHPUT and args.sweep_var == "k":
         variable, sweep_text, scale = SweepVariable.K, "1:3:3", "linear"
-    mm_metric = getattr(args, "metric", "success-prob").replace("-", "_")
+    mm_metric = (getattr(args, "metric", None) or "success-prob").replace("-", "_")
     if metric is Metric.MEAN_MODEL and mm_metric != "success_prob":
         variable, sweep_text, scale = SweepVariable.LAMBDA, "0.01:1:13", "log"
-    if args.scale:
-        scale = args.scale
-    sweep = _parse_sweep(args.sweep or sweep_text, variable, scale)
+    sweep = _parse_sweep(args.sweep or sweep_text, variable, args.scale or scale)
 
-    base = ExperimentSpec(
-        metric,
-        sweep,
-        network=default_network(),
-        bandwidth=default_bandwidth(),
-        sim=SimConfig(),
-        theta_db=getattr(args, "theta_db", None),
-        alt_type_probs=(
-            _parse_probs(args.alt_probs) if getattr(args, "alt_probs", None) else None
-        ),
-        mean_model_metric=mm_metric,
-        compare_modes=getattr(args, "compare_modes", False),
-        output=args.out,
-    )
+    # the experiment fields given as flags, which win over the config file
+    flags = {"metric": metric}
+    if args.sweep:
+        flags["sweep"] = sweep
+    if args.out:
+        flags["output"] = args.out
+    if getattr(args, "theta_db", None) is not None:
+        flags["theta_db"] = args.theta_db
+    if getattr(args, "alt_probs", None):
+        flags["alt_type_probs"] = _parse_probs(args.alt_probs)
+    if getattr(args, "metric", None):
+        flags["mean_model_metric"] = mm_metric
+    if getattr(args, "compare_modes", False):
+        flags["compare_modes"] = True
+
+    defaults = {
+        "sweep": sweep,
+        "network": default_network(),
+        "bandwidth": default_bandwidth(),
+        "sim": SimConfig(),
+        "theta_db": _DEFAULT_META_THETA_DB if metric is Metric.META_DIST else None,
+        "mean_model_metric": mm_metric,
+    }
+    base = ExperimentSpec(**{**defaults, **flags})
     if args.config:
         try:
             with open(args.config) as handle:
@@ -154,12 +168,9 @@ def _spec_from_args(args) -> ExperimentSpec:
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
         parsed = parse_config(text, base=base)
-        base = replace(
-            parsed,
-            metric=metric,
-            sweep=sweep if args.sweep else parsed.sweep,
-            output=args.out or parsed.output,
-        )
+        if args.scale and not args.sweep:
+            flags["sweep"] = replace(parsed.sweep, scale=args.scale)
+        base = replace(parsed, **flags)
 
     overrides = {}
     if args.mode:

@@ -343,7 +343,7 @@ def parse_config(text: str, base: ExperimentSpec | None = None) -> ExperimentSpe
                 sec.get("sweep_scale", base.sweep.scale),
             )
             theta_db = _opt(sec.get("theta_db", _fmt(base.theta_db)))
-            alt_text = _opt(sec.get("alt_type_probs", "none"))
+            alt_text = _opt(sec.get("alt_type_probs", _fmt_probs(base.alt_type_probs)))
             mixes_text = _opt(sec.get("compare_mixes", _fmt_mixes(base.compare_mixes)))
             output = _opt(sec.get("output", _fmt(base.output)))
             return ExperimentSpec(

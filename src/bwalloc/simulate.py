@@ -6,11 +6,17 @@ probability from the realized SIR, the conditional-success distribution from
 per-pattern averages, throughput from the realized rate, and the mean
 interference directly.
 
-Every estimator is a statistic over one realization loop. Realization idx
-draws everything from ``realization_rng(seed, idx)``, in a fixed order: the
-typical type (only when it is drawn from the mix), the network, then what the
-statistic draws itself. Estimates are therefore bit-reproducible and
-independent of any execution order.
+Every estimator is a statistic over one realization loop. SIR depends on an
+interferer's chunk set only through the number of chunks it shares with the
+typical user, so the loop draws those counts directly and never builds chunk
+sets. Realization idx draws everything from ``realization_rng(seed, idx)``,
+in a fixed order: the typical type (only when it is drawn from the mix), the
+interferer count, their distances, their types, their shared-chunk counts,
+the fading of the interferers that share a chunk, the typical fading, then
+what the statistic draws itself. Estimates are therefore bit-reproducible and
+independent of any execution order. ``sample_realization`` is the reference
+sampler: it draws positions and full chunk sets, and its distances equal the
+loop's at the same (seed, idx).
 """
 
 from __future__ import annotations
@@ -18,10 +24,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
-from .allocation import _check_type, sample_chunk_set, sample_type, type_averaged_overlap
+from .allocation import (
+    _check_type,
+    overlap_pmf_random,
+    sample_chunk_set,
+    sample_type,
+    type_averaged_overlap,
+)
 from .errors import ConfigError, DomainError
 from .metadist import _check_theta, _interference_discount
 from .params import AllocationMode, BandwidthConfig, NetworkParams
@@ -111,7 +125,9 @@ class NetworkRealization:
     """One sampled interferer pattern plus the typical link.
 
     The typical transmitter sits at (R, 0); the receiver is the origin.
-    ``occupancy`` is the boolean interferer-by-chunk matrix.
+    ``occupancy`` is the boolean interferer-by-chunk matrix. This is the
+    reference sampler's record; the realization loop of the estimators
+    samples only what SIR reads (see ``_SampledNetwork``).
     """
 
     positions: np.ndarray
@@ -136,6 +152,25 @@ class NetworkRealization:
         return self.occupancy[:, self.typical_occupancy].sum(axis=1)
 
 
+@dataclass(frozen=True)
+class _SampledNetwork:
+    """What the realization loop samples of one network, with the read
+    interface of ``NetworkRealization``: each interferer's distance and
+    shared-chunk count, and its fading, which is 0 where the count is 0."""
+
+    distance: np.ndarray
+    overlap: np.ndarray
+    fading: np.ndarray
+    typical_type: int
+    typical_fading: float
+
+    def distances(self) -> np.ndarray:
+        return self.distance
+
+    def overlaps(self) -> np.ndarray:
+        return self.overlap
+
+
 def realization_rng(seed: int, index: int) -> np.random.Generator:
     """Generator for one realization; the (seed, index) pair is the entire
     entropy, which is what makes parallel fan-out deterministic."""
@@ -153,6 +188,11 @@ def _window(net: NetworkParams, sim: SimConfig) -> float:
     return radius
 
 
+def _window_starts(n_chunks: int, types: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """0-based start of a uniformly placed window for each user."""
+    return (rng.random(types.shape) * (n_chunks - types + 1)).astype(np.int64)
+
+
 def _sample_occupancy(
     ba: BandwidthConfig, types: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
@@ -168,8 +208,7 @@ def _sample_occupancy(
             ranks, order, np.broadcast_to(np.arange(n_chunks), (n, n_chunks)).copy(), axis=1
         )
         return ranks < types[:, None]
-    # 0-based start of a uniformly placed window for each user
-    starts = (rng.random(n) * (n_chunks - types + 1)).astype(np.int64)
+    starts = _window_starts(n_chunks, types, rng)
     cols = np.arange(n_chunks)
     return (cols >= starts[:, None]) & (cols < (starts + types)[:, None])
 
@@ -209,20 +248,70 @@ def sample_realization(
     )
 
 
+@lru_cache(maxsize=None)
+def _overlap_cdf(n_chunks: int, k: int) -> np.ndarray:
+    """Random mode: entry (i - 1, t) is P(overlap <= t) between a type-k
+    typical user and a type-i interferer, for t < k, summed exactly from
+    ``overlap_pmf_random`` and rounded once. The column t = k would be 1."""
+    rows = []
+    for i in range(1, n_chunks + 1):
+        pmf = overlap_pmf_random(n_chunks, k, i)
+        rows.append([float(c) for c in accumulate(pmf.mass(t) for t in range(k))])
+    cdf = np.array(rows)
+    cdf.flags.writeable = False
+    return cdf
+
+
+def _sample_overlaps(
+    ba: BandwidthConfig, k: int, types: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Shared-chunk count of each interferer with a type-k typical user.
+
+    The last axis of ``types`` runs over the interferers of one network;
+    leading axes index independent networks, each with its own typical chunk
+    set. Random mode inverts each pair's exact law; contiguous mode draws the
+    typical window start, then every interferer's, and intersects them.
+    """
+    n_chunks = ba.n_chunks
+    if ba.mode is AllocationMode.RANDOM:
+        u = rng.random(types.shape)
+        row = types - 1
+        overlaps = np.zeros(types.shape, dtype=np.int64)
+        for cdf_t in _overlap_cdf(n_chunks, k).T:
+            overlaps += u >= cdf_t[row]
+        return overlaps
+    typical = _window_starts(n_chunks, np.full(types.shape[:-1] + (1,), k), rng)
+    starts = _window_starts(n_chunks, types, rng)
+    return np.maximum(0, np.minimum(typical + k, starts + types) - np.maximum(typical, starts))
+
+
+def _fading_where_shared(overlaps: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Unit-mean fading of every interferer that shares a chunk with the
+    typical user; the others interfere with nothing and get 0."""
+    fading = np.zeros(overlaps.shape)
+    shared = overlaps > 0
+    fading[shared] = rng.exponential(1.0, np.count_nonzero(shared))
+    return fading
+
+
 def _interference(real: NetworkRealization, net: NetworkParams) -> float:
     """Interference at the typical receiver, in units of the per-chunk power."""
     attenuation = net.pathloss.attenuation(real.distances())
     return float(np.sum(real.overlaps() * real.fading * attenuation))
 
 
-def sir_of_realization(real: NetworkRealization, net: NetworkParams) -> float:
-    """Realized SIR of the typical link; infinite when nothing interferes on
-    the typical user's chunks."""
+def _sir(real: NetworkRealization, net: NetworkParams, signal_attenuation: float) -> float:
     interference = _interference(real, net)
-    signal = real.typical_type * real.typical_fading * net.signal_attenuation()
+    signal = real.typical_type * real.typical_fading * signal_attenuation
     if interference == 0.0:
         return math.inf
     return signal / interference
+
+
+def sir_of_realization(real: NetworkRealization, net: NetworkParams) -> float:
+    """Realized SIR of the typical link; infinite when nothing interferes on
+    the typical user's chunks."""
+    return _sir(real, net, net.signal_attenuation())
 
 
 def conditional_success_prob(
@@ -239,8 +328,8 @@ def conditional_success_prob(
 
     The closed-form route averages fading and everyone's chunk draws exactly,
     yielding a product of per-interferer factors that depends on the pattern
-    only through distances. The empirical route redraws types, chunk sets,
-    and fading with positions held fixed.
+    only through distances. The empirical route redraws types, shared-chunk
+    counts and fading with distances held fixed.
 
     The closed-form route uses ``type_averaged_overlap``, the overlap law
     averaged over the typical user's chunk set. In contiguous mode that
@@ -271,16 +360,12 @@ def conditional_success_prob(
     signal_scale = k * net.signal_attenuation()
     hits = 0
     done = 0
-    # draws are processed in blocks to bound the (block, n, chunks) workspace
-    block = max(1, int(2_000_000 // max(n * ba.n_chunks, 1)))
+    # draws are processed in blocks to bound the (block, n) workspace
+    block = max(1, 250_000 // n)
     while done < n_fading_draws:
         m = min(block, n_fading_draws - done)
-        types = sample_type(ba, rng, (m, n))
-        typical_types = np.full(m, k, dtype=np.int64)
-        occ = _sample_occupancy(ba, types.ravel(), rng).reshape(m, n, ba.n_chunks)
-        typ = _sample_occupancy(ba, typical_types, rng)
-        t_x = (occ & typ[:, None, :]).sum(axis=2)
-        h = rng.exponential(1.0, (m, n))
+        t_x = _sample_overlaps(ba, k, sample_type(ba, rng, (m, n)), rng)
+        h = _fading_where_shared(t_x, rng)
         h0 = rng.exponential(1.0, m)
         interference = (t_x * h * attenuation[None, :]).sum(axis=1)
         sir = np.where(
@@ -292,14 +377,24 @@ def conditional_success_prob(
 
 
 def _realizations(net: NetworkParams, ba: BandwidthConfig, sim: SimConfig, k: int | None):
-    """Yield (generator, typical type, realization) for every index of
-    ``sim``; a statistic may keep drawing from the generator."""
+    """Yield (generator, typical type, sampled network) for every index of
+    ``sim``; a statistic may keep drawing from the generator.
+
+    The count and the distances are drawn exactly as ``sample_realization``
+    draws them, so the distances match it; no angles are drawn.
+    """
     if k is not None:
         k = _check_type(ba.n_chunks, k, "k")
+    radius = _window(net, sim)
+    mean_count = net.intensity * math.pi * radius * radius
     for idx in range(sim.n_realizations):
         rng = realization_rng(sim.seed, idx)
         k_typ = sample_type(ba, rng) if k is None else k
-        yield rng, k_typ, sample_realization(net, ba, sim, k_typ, rng)
+        distance = radius * np.sqrt(rng.random(int(rng.poisson(mean_count))))
+        overlap = _sample_overlaps(ba, k_typ, sample_type(ba, rng, distance.size), rng)
+        fading = _fading_where_shared(overlap, rng)
+        typical_fading = float(rng.exponential(1.0))
+        yield rng, k_typ, _SampledNetwork(distance, overlap, fading, k_typ, typical_fading)
 
 
 def _binomial_estimate(hits: int, n: int) -> EstimateWithCI:
@@ -328,9 +423,10 @@ def success_prob_curve(
         raise DomainError("thetas must be nonempty")
     if np.any(~np.isfinite(thetas)) or np.any(thetas < 0.0):
         raise DomainError("thetas must be finite and >= 0")
+    signal_attenuation = net.signal_attenuation()
     hits = np.zeros(thetas.size, dtype=np.int64)
     for _, _, real in _realizations(net, ba, sim, k):
-        hits += sir_of_realization(real, net) > thetas
+        hits += _sir(real, net, signal_attenuation) > thetas
     return [_binomial_estimate(int(h), sim.n_realizations) for h in hits]
 
 
@@ -383,10 +479,11 @@ def estimate_throughput(
 ) -> EstimateWithCI:
     """Empirical Shannon throughput (k/n) * log2(1 + SIR); infinite-SIR
     realizations are capped at SIR_CAP and counted in ``n_capped``."""
+    signal_attenuation = net.signal_attenuation()
     values = np.empty(sim.n_realizations)
     n_capped = 0
     for idx, (_, k_typ, real) in enumerate(_realizations(net, ba, sim, k)):
-        sir = sir_of_realization(real, net)
+        sir = _sir(real, net, signal_attenuation)
         if not math.isfinite(sir) or sir > SIR_CAP:
             sir = SIR_CAP
             n_capped += 1

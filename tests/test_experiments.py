@@ -402,6 +402,32 @@ def test_cli_config_file(tmp_path):
     assert spec.bandwidth.n_chunks == 2
 
 
+def test_cli_flags_win_over_config(tmp_path):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[experiment]\nsweep_points = 1\n")
+    out = tmp_path / "mm.csv"
+    code = main(
+        ["mean-model", "--alt-probs", "0.3,0,0.7", "--config", str(cfg), "--out", str(out)]
+    )
+    assert code == 0
+    assert read_csv_config(str(out)).alt_type_probs == (0.3, 0.0, 0.7)
+
+    cfg.write_text("[experiment]\ntheta_db = 3.0\n")
+    meta = ["meta-dist", "--sweep", "0.5:0.5:1", "--config", str(cfg), "--out", str(out)]
+    assert main(meta + ["--theta-db", "-5"]) == 0
+    assert read_csv_config(str(out)).theta_db == -5.0
+    # without the flag the file's value holds; with neither, -5 dB
+    assert main(meta) == 0
+    assert read_csv_config(str(out)).theta_db == 3.0
+    cfg.write_text("[experiment]\n")
+    assert main(meta) == 0
+    assert read_csv_config(str(out)).theta_db == -5.0
+
+    cfg.write_text("[experiment]\nsweep_scale = linear\n")
+    assert main(["throughput", "--scale", "log", "--config", str(cfg), "--out", str(out)]) == 0
+    assert read_csv_config(str(out)).sweep.scale == "log"
+
+
 def test_cli_mean_model(tmp_path):
     out = tmp_path / "mm.csv"
     code = main(

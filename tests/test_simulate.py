@@ -5,12 +5,13 @@ agreement thresholds are 3 standard errors unless noted.
 """
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from bwalloc.allocation import overlap_pmf, sample_type
 from bwalloc.errors import ConfigError, DomainError
 from bwalloc.meanmodel import mean_interference_k, mean_interference_overall
 from bwalloc.metadist import meta_ccdf_gilpelaez
@@ -26,6 +27,8 @@ from bwalloc.simulate import (
     EstimateWithCI,
     NetworkRealization,
     SimConfig,
+    _realizations,
+    _sample_overlaps,
     conditional_success_prob,
     estimate_mean_interference,
     estimate_meta_distribution,
@@ -149,6 +152,80 @@ def test_sim_config_validation():
             SimConfig(n_fading_draws=bad)
     with pytest.raises(ConfigError):
         EstimateWithCI(0.5, -1.0, 10)
+
+
+# ---------------------------------------------------------------------------
+# the realization loop's overlap draw
+
+
+def _within_4_se(freq: float, p: float, draws: int) -> bool:
+    # a mass of 0 or 1 must be hit exactly
+    return abs(freq - p) <= 4.0 * math.sqrt(p * (1.0 - p) / draws) + 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 10])
+def test_random_overlap_draw_follows_the_pair_law(n):
+    # every interferer type against k = 1 and k = n, drawn in a
+    # (networks, interferers) block as the fully-empirical route draws it
+    ba = BandwidthConfig.uniform(n)
+    rng = np.random.default_rng(100 + n)
+    draws = 20_000
+    for k in (1, n):
+        for i in range(1, n + 1):
+            t = _sample_overlaps(ba, k, np.full((draws // 50, 50), i), rng)
+            freq = np.bincount(t.ravel(), minlength=k + 1) / draws
+            pmf = overlap_pmf(ba, k, i)
+            for t_value in range(k + 1):
+                assert _within_4_se(freq[t_value], float(pmf.mass(t_value)), draws), (k, i)
+
+
+def _window_law_given_start(n: int, k: int, i: int, s: int) -> dict[int, float]:
+    """Overlap of a type-i window with the typical window starting at s,
+    counted over the interferer's equally likely starts."""
+    typical = set(range(s, s + k))
+    counts = Counter(len(typical & set(range(u, u + i))) for u in range(n - i + 1))
+    return {t: c / (n - i + 1) for t, c in counts.items()}
+
+
+@pytest.mark.parametrize("n", [3, 10])
+def test_contiguous_overlap_draw_conditions_on_the_typical_window(n):
+    # two interferers of one network overlap the same typical window, so the
+    # joint law of their counts is the mean over the typical start s of the
+    # product of the window-count laws given s; type n - 1 makes that law
+    # depend on s, which separates it from independent windows
+    ba = BandwidthConfig.uniform(n, mode=AllocationMode.CONTIGUOUS)
+    rng = np.random.default_rng(200 + n)
+    networks = 20_000
+    for k in (1, n):
+        starts = range(n - k + 1)
+        for i, j in sorted({(n - 1, n - 1), (1, n - 1), (2, n)}):
+            t = _sample_overlaps(ba, k, np.tile([i, j], (networks, 1)), rng)
+            observed = Counter(zip(t[:, 0].tolist(), t[:, 1].tolist()))
+            expected = defaultdict(float)
+            for s in starts:
+                law_i = _window_law_given_start(n, k, i, s)
+                law_j = _window_law_given_start(n, k, j, s)
+                for a, p_a in law_i.items():
+                    for b, p_b in law_j.items():
+                        expected[(a, b)] += p_a * p_b / len(starts)
+            for cell in set(expected) | set(observed):
+                freq = observed[cell] / networks
+                assert _within_4_se(freq, expected[cell], networks), (k, i, j, cell)
+
+
+@pytest.mark.parametrize("k", [2, None])
+def test_loop_distances_match_the_reference_sampler(k):
+    ba = BandwidthConfig(3, (0.5, 0.2, 0.3), mode=AllocationMode.CONTIGUOUS)
+    sim = SimConfig(n_realizations=30, seed=13, window_radius=20.0)
+    for idx, (_, k_typ, real) in enumerate(_realizations(BOUNDED, ba, sim, k)):
+        rng = realization_rng(13, idx)
+        if k is None:
+            assert sample_type(ba, rng) == k_typ
+        ref = sample_realization(BOUNDED, ba, sim, k_typ, rng)
+        np.testing.assert_allclose(real.distances(), ref.distances(), rtol=1e-12, atol=0.0)
+        # only interferers sharing a chunk draw fading
+        assert np.array_equal(real.fading > 0.0, real.overlaps() > 0)
+        assert real.overlaps().max(initial=0) <= k_typ
 
 
 # ---------------------------------------------------------------------------
