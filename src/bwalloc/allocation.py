@@ -100,33 +100,22 @@ def _random_overlap(n: int, k: int, i: int) -> OverlapPmf:
 
 
 def _contiguous_mass(n: int, k: int, i: int, t: int) -> Fraction:
-    # Window-count ratios; the t = 0 and t = min(k, i) boundary cases have
-    # their own counts and must not fall through to the interior formula.
+    # Window-count ratios for t in the support; the t = 0 and t = min(k, i)
+    # boundary cases have their own counts and must not fall through to the
+    # interior formula.
     if t == k and k <= i:
         return Fraction(i - k + 1, n - k + 1)
     if t == i and k > i:
         return Fraction(k - i + 1, n - i + 1)
     if t == 0:
-        if n >= k + i:
-            return Fraction((n - k - i + 1) * (n - k - i + 2), (n - k + 1) * (n - i + 1))
-        return Fraction(0)
-    if n >= k + i - t:
-        return Fraction(2 * (n + t - k - i + 1), (n - k + 1) * (n - i + 1))
-    return Fraction(0)
+        return Fraction((n - k - i + 1) * (n - k - i + 2), (n - k + 1) * (n - i + 1))
+    return Fraction(2 * (n + t - k - i + 1), (n - k + 1) * (n - i + 1))
 
 
 @lru_cache(maxsize=None)
 def _contiguous_overlap(n: int, k: int, i: int) -> OverlapPmf:
-    lo, hi = max(0, k + i - n), min(k, i)
-    support = []
-    probs = []
-    for t in range(lo, hi + 1):
-        mass = _contiguous_mass(n, k, i, t)
-        if mass == 0:
-            continue
-        support.append(t)
-        probs.append(mass)
-    return OverlapPmf(n, k, i, tuple(support), tuple(probs))
+    support = tuple(range(max(0, k + i - n), min(k, i) + 1))
+    return OverlapPmf(n, k, i, support, tuple(_contiguous_mass(n, k, i, t) for t in support))
 
 
 def overlap_pmf_random(n_chunks: int, k: int, i: int) -> OverlapPmf:
@@ -243,13 +232,15 @@ def sample_type(
     an int, anything else returns an integer array of that shape. Either way
     each type consumes one ``rng.random`` double.
     """
-    idx = np.searchsorted(_type_cdf(config), rng.random(size), side="right")
-    types = np.minimum(idx, config.n_chunks - 1) + 1
+    types = np.searchsorted(_type_cdf(config), rng.random(size), side="right") + 1
     return int(types) if size is None else types
 
 
 @lru_cache(maxsize=None)
 def _type_cdf(config: BandwidthConfig) -> np.ndarray:
     cdf = np.cumsum(config.type_probs)
+    # the mix may sum to 1 only within PROB_TOL; a uniform in [0, 1) must
+    # still never reach a type past the last one with positive weight
+    cdf[np.flatnonzero(config.type_probs)[-1]:] = 1.0
     cdf.flags.writeable = False
     return cdf

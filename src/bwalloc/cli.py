@@ -9,23 +9,19 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from .errors import ConfigError, DomainError, IntegrationError
 from .experiments import (
     FIGURE_NAMES,
     ExperimentSpec,
     Metric,
-    SweepSpec,
     SweepVariable,
+    _build_spec,
+    _config_layer,
     _parse_probs,
-    default_bandwidth,
-    default_network,
-    parse_config,
     run_and_write,
     run_figure,
 )
-from .simulate import SimConfig
 
 
 class _Parser(argparse.ArgumentParser):
@@ -35,34 +31,54 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _parse_sweep(text: str, variable: SweepVariable, scale: str) -> SweepSpec:
+def _parse_sweep(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"sweep must look like start:stop:points, got {text!r}")
     try:
-        start, stop, points = float(parts[0]), float(parts[1]), int(parts[2])
+        return float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"bad sweep {text!r}: {exc}") from None
-    return SweepSpec(variable, start, stop, points, scale)
 
 
-_DEFAULT_SWEEPS = {
-    Metric.SUCCESS_PROB: ("-20:20:41", SweepVariable.THETA_DB, "linear"),
-    Metric.META_DIST: ("0.05:0.95:19", SweepVariable.X, "linear"),
-    Metric.THROUGHPUT: ("0.01:1:13", SweepVariable.LAMBDA, "log"),
-    Metric.MEAN_MODEL: ("-20:20:41", SweepVariable.THETA_DB, "linear"),
-    Metric.SIMULATE: ("-10:10:5", SweepVariable.THETA_DB, "linear"),
+#: each verb's metric and the variable it sweeps unless told otherwise
+_VERBS = {
+    "success-prob": (Metric.SUCCESS_PROB, SweepVariable.THETA_DB),
+    "meta-dist": (Metric.META_DIST, SweepVariable.X),
+    "throughput": (Metric.THROUGHPUT, SweepVariable.LAMBDA),
+    "mean-model": (Metric.MEAN_MODEL, SweepVariable.THETA_DB),
+    "simulate": (Metric.SIMULATE, SweepVariable.THETA_DB),
 }
+
+#: default start, stop, points and scale of a sweep over each variable
+_DEFAULT_SWEEPS = {
+    SweepVariable.THETA_DB: (-20.0, 20.0, 41, "linear"),
+    SweepVariable.X: (0.05, 0.95, 19, "linear"),
+    SweepVariable.LAMBDA: (0.01, 1.0, 13, "log"),
+    SweepVariable.K: (1.0, 3.0, 3, "linear"),
+}
+_DEFAULT_SIMULATE_SWEEP = (-10.0, 10.0, 5, "linear")
 
 #: meta-dist threshold when neither --theta-db nor the config file sets one
 _DEFAULT_META_THETA_DB = -5.0
 
-_VERB_METRIC = {
-    "success-prob": Metric.SUCCESS_PROB,
-    "meta-dist": Metric.META_DIST,
-    "throughput": Metric.THROUGHPUT,
-    "mean-model": Metric.MEAN_MODEL,
-    "simulate": Metric.SIMULATE,
+_VARIABLE = ("experiment", "sweep_variable")
+_RANGE = [("experiment", f"sweep_{name}") for name in ("start", "stop", "points", "scale")]
+_MEAN_MODEL_METRIC = ("experiment", "mean_model_metric")
+_ALT_PROBS = ("experiment", "alt_type_probs")
+
+#: the config key that each flag sets (``--sweep`` sets start, stop and points)
+_FLAG_KEYS = {
+    "out": ("experiment", "output"),
+    "seed": ("sim", "seed"),
+    "mode": ("bandwidth", "mode"),
+    "realizations": ("sim", "n_realizations"),
+    "scale": ("experiment", "sweep_scale"),
+    "sweep_var": _VARIABLE,
+    "theta_db": ("experiment", "theta_db"),
+    "alt_probs": _ALT_PROBS,
+    "metric": _MEAN_MODEL_METRIC,
+    "compare_modes": ("experiment", "compare_modes"),
 }
 
 
@@ -103,11 +119,11 @@ def build_parser() -> _Parser:
             )
         if verb == "throughput":
             sub.add_argument(
-                "--sweep-var", choices=["lambda", "k"], default="lambda",
+                "--sweep-var", choices=["lambda", "k"],
                 help="sweep the intensity or the user type",
             )
             sub.add_argument(
-                "--compare-modes", action="store_true",
+                "--compare-modes", action="store_true", default=None,
                 help="k sweeps only: random and contiguous columns side by side",
             )
         if verb == "mean-model":
@@ -127,62 +143,54 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _spec_from_args(args) -> ExperimentSpec:
-    metric = _VERB_METRIC[args.verb]
-    sweep_text, variable, scale = _DEFAULT_SWEEPS[metric]
-    if metric is Metric.THROUGHPUT and args.sweep_var == "k":
-        variable, sweep_text, scale = SweepVariable.K, "1:3:3", "linear"
-    mm_metric = (getattr(args, "metric", None) or "success-prob").replace("-", "_")
-    if metric is Metric.MEAN_MODEL and mm_metric != "success_prob":
-        variable, sweep_text, scale = SweepVariable.LAMBDA, "0.01:1:13", "log"
-    sweep = _parse_sweep(args.sweep or sweep_text, variable, args.scale or scale)
-
-    # the experiment fields given as flags, which win over the config file
-    flags = {"metric": metric}
+def _flag_layer(args) -> dict:
+    """The config keys set by the verb and by the flags actually given."""
+    metric, _ = _VERBS[args.verb]
+    layer = {("experiment", "metric"): metric}
+    for dest, key in _FLAG_KEYS.items():
+        if getattr(args, dest, None) is not None:
+            layer[key] = getattr(args, dest)
     if args.sweep:
-        flags["sweep"] = sweep
-    if args.out:
-        flags["output"] = args.out
-    if getattr(args, "theta_db", None) is not None:
-        flags["theta_db"] = args.theta_db
-    if getattr(args, "alt_probs", None):
-        flags["alt_type_probs"] = _parse_probs(args.alt_probs)
-    if getattr(args, "metric", None):
-        flags["mean_model_metric"] = mm_metric
-    if getattr(args, "compare_modes", False):
-        flags["compare_modes"] = True
+        # zip stops before the scale, which --sweep leaves alone
+        layer.update(zip(_RANGE, _parse_sweep(args.sweep)))
+    if _ALT_PROBS in layer:
+        layer[_ALT_PROBS] = _parse_probs(layer[_ALT_PROBS])
+    if _MEAN_MODEL_METRIC in layer:
+        layer[_MEAN_MODEL_METRIC] = layer[_MEAN_MODEL_METRIC].replace("-", "_")
+    return layer
 
-    defaults = {
-        "sweep": sweep,
-        "network": default_network(),
-        "bandwidth": default_bandwidth(),
-        "sim": SimConfig(),
-        "theta_db": _DEFAULT_META_THETA_DB if metric is Metric.META_DIST else None,
-        "mean_model_metric": mm_metric,
-    }
-    base = ExperimentSpec(**{**defaults, **flags})
+
+def _verb_defaults(verb: str, given: dict) -> dict:
+    """The verb's defaults; the sweep range follows the sweep variable that
+    the config file and the flags (``given``) resolve to."""
+    metric, variable = _VERBS[verb]
+    mean_model_metric = given.get(_MEAN_MODEL_METRIC, "success_prob")
+    if metric is Metric.MEAN_MODEL and mean_model_metric != "success_prob":
+        variable = SweepVariable.LAMBDA
+    variable = given.get(_VARIABLE, variable)
+    if metric is Metric.SIMULATE and variable == SweepVariable.THETA_DB:
+        sweep = _DEFAULT_SIMULATE_SWEEP
+    else:
+        sweep = _DEFAULT_SWEEPS.get(variable, ())
+    defaults = {_VARIABLE: variable, **dict(zip(_RANGE, sweep))}
+    if metric is Metric.META_DIST:
+        defaults["experiment", "theta_db"] = _DEFAULT_META_THETA_DB
+    return defaults
+
+
+def _spec_from_args(args) -> ExperimentSpec:
+    """Key by key, the verb's defaults, then the config file, then the flags
+    actually given."""
+    given = {}
     if args.config:
         try:
             with open(args.config) as handle:
                 text = handle.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
-        parsed = parse_config(text, base=base)
-        if args.scale and not args.sweep:
-            flags["sweep"] = replace(parsed.sweep, scale=args.scale)
-        base = replace(parsed, **flags)
-
-    overrides = {}
-    if args.mode:
-        overrides["bandwidth"] = replace(base.bandwidth, mode=args.mode)
-    sim_overrides = {}
-    if args.seed is not None:
-        sim_overrides["seed"] = args.seed
-    if args.realizations is not None:
-        sim_overrides["n_realizations"] = args.realizations
-    if sim_overrides:
-        overrides["sim"] = replace(base.sim, **sim_overrides)
-    return replace(base, **overrides) if overrides else base
+        given = _config_layer(text)
+    given.update(_flag_layer(args))
+    return _build_spec(_verb_defaults(args.verb, given), given)
 
 
 def main(argv=None) -> int:

@@ -11,12 +11,13 @@ Thresholds cross this layer in dB; the library itself works on linear scale.
 
 from __future__ import annotations
 
+import configparser
 import math
 import os
 import tempfile
-from configparser import ConfigParser
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from operator import attrgetter
 
 import numpy as np
 
@@ -136,6 +137,8 @@ class ExperimentSpec:
             raise ConfigError(str(exc)) from None
         if self.theta_db is not None:
             object.__setattr__(self, "theta_db", float(self.theta_db))
+            if not math.isfinite(self.theta_db):
+                raise ConfigError(f"theta_db must be finite, got {self.theta_db!r}")
         if self.alt_type_probs is not None:
             object.__setattr__(
                 self, "alt_type_probs", tuple(float(p) for p in self.alt_type_probs)
@@ -200,62 +203,15 @@ def _fmt(value) -> str:
         return "none"
     if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, Enum):
+        return value.value
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, tuple):
+        # a type mix is comma separated, a list of mixes semicolon separated
+        nested = bool(value) and isinstance(value[0], tuple)
+        return ("; " if nested else ", ").join(map(_fmt, value))
     return str(value)
-
-
-def _fmt_probs(probs) -> str:
-    return "none" if probs is None else ", ".join(repr(p) for p in probs)
-
-
-def _fmt_mixes(mixes) -> str:
-    return "none" if mixes is None else "; ".join(_fmt_probs(mix) for mix in mixes)
-
-
-def render_config(spec: ExperimentSpec) -> str:
-    """Resolved experiment as section-structured key/value lines."""
-    cp = ConfigParser(interpolation=None)
-    cp["network"] = {
-        "intensity": _fmt(spec.network.intensity),
-        "link_distance": _fmt(spec.network.link_distance),
-        "alpha": _fmt(spec.network.pathloss.alpha),
-        "c0": _fmt(spec.network.pathloss.c0),
-    }
-    cp["bandwidth"] = {
-        "n_chunks": _fmt(spec.bandwidth.n_chunks),
-        "type_probs": _fmt_probs(spec.bandwidth.type_probs),
-        "mode": spec.bandwidth.mode.value,
-        "power_per_chunk": _fmt(spec.bandwidth.power_per_chunk),
-    }
-    cp["sim"] = {
-        "n_realizations": _fmt(spec.sim.n_realizations),
-        "seed": _fmt(spec.sim.seed),
-        "window_radius": _fmt(spec.sim.window_radius),
-        "n_fading_draws": _fmt(spec.sim.n_fading_draws),
-        "conditional_mode": spec.sim.conditional_mode.value,
-    }
-    cp["experiment"] = {
-        "metric": spec.metric.value,
-        "sweep_variable": spec.sweep.variable.value,
-        "sweep_start": _fmt(spec.sweep.start),
-        "sweep_stop": _fmt(spec.sweep.stop),
-        "sweep_points": _fmt(spec.sweep.points),
-        "sweep_scale": spec.sweep.scale,
-        "theta_db": _fmt(spec.theta_db),
-        "alt_type_probs": _fmt_probs(spec.alt_type_probs),
-        "mean_model_metric": spec.mean_model_metric,
-        "compare_modes": _fmt(spec.compare_modes),
-        "compare_mixes": _fmt_mixes(spec.compare_mixes),
-        "output": _fmt(spec.output),
-    }
-    lines = []
-    for section in cp.sections():
-        lines.append(f"[{section}]")
-        for key, value in cp[section].items():
-            lines.append(f"{key} = {value}")
-        lines.append("")
-    return "\n".join(lines).rstrip() + "\n"
 
 
 def _parse_probs(text: str) -> tuple[float, ...]:
@@ -271,105 +227,132 @@ def _parse_probs(text: str) -> tuple[float, ...]:
     return tuple(out)
 
 
-def _opt(text: str) -> str | None:
-    return None if text.strip().lower() == "none" else text.strip()
+def _parse_mixes(text: str) -> tuple[tuple[float, ...], ...]:
+    return tuple(_parse_probs(mix) for mix in text.split(";"))
+
+
+def _parse_bool(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ConfigError(f"not a boolean: {text!r}") from None
+
+
+def _or_none(parse):
+    """``parse``, except that the text ``none`` reads as None."""
+    return lambda text: None if text.lower() == "none" else parse(text)
+
+
+#: Every config key, in rendering order: (section, key) -> (attribute path of
+#: its value in an ExperimentSpec, parser of its text).
+_KEYS = {
+    ("network", "intensity"): ("network.intensity", float),
+    ("network", "link_distance"): ("network.link_distance", float),
+    ("network", "alpha"): ("network.pathloss.alpha", float),
+    ("network", "c0"): ("network.pathloss.c0", float),
+    ("bandwidth", "n_chunks"): ("bandwidth.n_chunks", int),
+    ("bandwidth", "type_probs"): ("bandwidth.type_probs", _parse_probs),
+    ("bandwidth", "mode"): ("bandwidth.mode", str),
+    ("bandwidth", "power_per_chunk"): ("bandwidth.power_per_chunk", float),
+    ("sim", "n_realizations"): ("sim.n_realizations", int),
+    ("sim", "seed"): ("sim.seed", int),
+    ("sim", "window_radius"): ("sim.window_radius", _or_none(float)),
+    ("sim", "n_fading_draws"): ("sim.n_fading_draws", int),
+    ("sim", "conditional_mode"): ("sim.conditional_mode", str),
+    ("experiment", "metric"): ("metric", str),
+    ("experiment", "sweep_variable"): ("sweep.variable", str),
+    ("experiment", "sweep_start"): ("sweep.start", float),
+    ("experiment", "sweep_stop"): ("sweep.stop", float),
+    ("experiment", "sweep_points"): ("sweep.points", int),
+    ("experiment", "sweep_scale"): ("sweep.scale", str),
+    ("experiment", "theta_db"): ("theta_db", _or_none(float)),
+    ("experiment", "alt_type_probs"): ("alt_type_probs", _or_none(_parse_probs)),
+    ("experiment", "mean_model_metric"): ("mean_model_metric", str),
+    ("experiment", "compare_modes"): ("compare_modes", _parse_bool),
+    ("experiment", "compare_mixes"): ("compare_mixes", _or_none(_parse_mixes)),
+    ("experiment", "output"): ("output", _or_none(str)),
+}
+_SECTIONS = tuple(dict.fromkeys(section for section, _ in _KEYS))
+
+
+def _spec_values(spec: ExperimentSpec) -> dict:
+    """{(section, key): value} for every config key."""
+    return {key: attrgetter(path)(spec) for key, (path, _) in _KEYS.items()}
+
+
+def _build_spec(*layers: dict) -> ExperimentSpec:
+    """The spec that {(section, key): value} layers give, later layers winning.
+
+    A key no layer sets keeps the value of the reference experiment (fig1).
+    """
+    sections = {section: {} for section in _SECTIONS}
+    for values in (_spec_values(_reference_experiment()), *layers):
+        for (section, key), value in values.items():
+            sections[section][key] = value
+    net, exp = sections["network"], sections["experiment"]
+    section = "network"
+    try:
+        network = NetworkParams(
+            net.pop("intensity"), net.pop("link_distance"), PathLossModel(**net)
+        )
+        section = "bandwidth"
+        bandwidth = BandwidthConfig(**sections["bandwidth"])
+        section = "sim"
+        sim = SimConfig(**sections["sim"])
+        section = "experiment"
+        fields = ("variable", "start", "stop", "points", "scale")
+        sweep = SweepSpec(*(exp.pop(f"sweep_{name}") for name in fields))
+        return ExperimentSpec(sweep=sweep, network=network, bandwidth=bandwidth, sim=sim, **exp)
+    except ConfigError as exc:
+        raise ConfigError(f"[{section}] {exc}") from None
+
+
+def render_config(spec: ExperimentSpec) -> str:
+    """Resolved experiment as section-structured key/value lines."""
+    lines, previous = [], None
+    for (section, key), value in _spec_values(spec).items():
+        if section != previous:
+            lines += ["", f"[{section}]"]
+            previous = section
+        lines.append(f"{key} = {_fmt(value)}")
+    return "\n".join(lines[1:]) + "\n"
+
+
+def _config_layer(text: str) -> dict:
+    """{(section, key): value} for every key that a config text sets; an
+    unknown section or key is an error."""
+    cp = configparser.ConfigParser(interpolation=None)
+    try:
+        cp.read_string(text)
+    except configparser.Error as exc:
+        raise ConfigError(f"unparseable config: {exc}") from None
+    if cp.defaults():
+        raise ConfigError(f"unknown section [{cp.default_section}]")
+    layer = {}
+    for section in cp.sections():
+        if section not in _SECTIONS:
+            raise ConfigError(f"unknown section [{section}]")
+        for key, text in cp.items(section):
+            if (section, key) not in _KEYS:
+                raise ConfigError(f"[{section}] unknown key {key!r}")
+            try:
+                layer[section, key] = _KEYS[section, key][1](text)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key}: {exc}") from None
+    return layer
 
 
 def parse_config(text: str, base: ExperimentSpec | None = None) -> ExperimentSpec:
     """Parse the key/value format back into a spec.
 
-    Sections may be omitted when ``base`` supplies them; an [experiment]
-    section is required unless ``base`` is given.
+    A key the text omits keeps its value in ``base``. Without ``base`` the
+    text must set an [experiment] key, and omitted keys take the reference
+    defaults.
     """
-    cp = ConfigParser(interpolation=None)
-    try:
-        cp.read_string(text)
-    except Exception as exc:
-        raise ConfigError(f"unparseable config: {exc}") from None
-
-    require_experiment = base is None
-    if base is None:
-        base = ExperimentSpec(
-            Metric.SUCCESS_PROB, SweepSpec(SweepVariable.THETA_DB, -20.0, 20.0, 41)
-        )
-    network, bandwidth, sim = base.network, base.bandwidth, base.sim
-
-    section = "network"
-    try:
-        if cp.has_section("network"):
-            sec = cp["network"]
-            alpha = sec.getfloat("alpha", network.pathloss.alpha)
-            c0 = sec.getfloat("c0", network.pathloss.c0)
-            network = NetworkParams(
-                sec.getfloat("intensity", network.intensity),
-                sec.getfloat("link_distance", network.link_distance),
-                PathLossModel(alpha, c0),
-            )
-        section = "bandwidth"
-        if cp.has_section("bandwidth"):
-            sec = cp["bandwidth"]
-            n_chunks = sec.getint("n_chunks", bandwidth.n_chunks)
-            probs = (
-                _parse_probs(sec["type_probs"])
-                if "type_probs" in sec
-                else bandwidth.type_probs
-            )
-            bandwidth = BandwidthConfig(
-                n_chunks,
-                probs,
-                sec.get("mode", bandwidth.mode.value),
-                sec.getfloat("power_per_chunk", bandwidth.power_per_chunk),
-            )
-        section = "sim"
-        if cp.has_section("sim"):
-            sec = cp["sim"]
-            window_text = sec.get("window_radius", _fmt(sim.window_radius))
-            window = _opt(window_text)
-            sim = SimConfig(
-                sec.getint("n_realizations", sim.n_realizations),
-                sec.getint("seed", sim.seed),
-                None if window is None else float(window),
-                sec.getint("n_fading_draws", sim.n_fading_draws),
-                sec.get("conditional_mode", sim.conditional_mode.value),
-            )
-        section = "experiment"
-        if cp.has_section("experiment"):
-            sec = cp["experiment"]
-            sweep = SweepSpec(
-                sec.get("sweep_variable", base.sweep.variable.value),
-                sec.getfloat("sweep_start", base.sweep.start),
-                sec.getfloat("sweep_stop", base.sweep.stop),
-                sec.getint("sweep_points", base.sweep.points),
-                sec.get("sweep_scale", base.sweep.scale),
-            )
-            theta_db = _opt(sec.get("theta_db", _fmt(base.theta_db)))
-            alt_text = _opt(sec.get("alt_type_probs", _fmt_probs(base.alt_type_probs)))
-            mixes_text = _opt(sec.get("compare_mixes", _fmt_mixes(base.compare_mixes)))
-            output = _opt(sec.get("output", _fmt(base.output)))
-            return ExperimentSpec(
-                metric=sec.get("metric", base.metric.value),
-                sweep=sweep,
-                network=network,
-                bandwidth=bandwidth,
-                sim=sim,
-                theta_db=None if theta_db is None else float(theta_db),
-                alt_type_probs=None if alt_text is None else _parse_probs(alt_text),
-                mean_model_metric=sec.get("mean_model_metric", base.mean_model_metric),
-                compare_modes=sec.getboolean("compare_modes", base.compare_modes),
-                compare_mixes=(
-                    None
-                    if mixes_text is None
-                    else tuple(_parse_probs(mix) for mix in mixes_text.split(";"))
-                ),
-                output=output,
-            )
-        if require_experiment:
-            raise ConfigError("section missing")
-        return replace(base, network=network, bandwidth=bandwidth, sim=sim)
-    except ConfigError as exc:
-        raise ConfigError(f"[{section}] {exc}") from None
-    except Exception as exc:
-        raise ConfigError(f"[{section}] invalid value: {exc}") from None
+    layer = _config_layer(text)
+    if base is None and not any(section == "experiment" for section, _ in layer):
+        raise ConfigError("[experiment] section missing")
+    return _build_spec({} if base is None else _spec_values(base), layer)
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +614,8 @@ def run_and_write(spec: ExperimentSpec, path: str | None = None):
 _NARROW_UNIFORM_WIDE = ((1.0, 0.0, 0.0), (1 / 3, 1 / 3, 1 / 3), (0.0, 0.0, 1.0))
 
 
-def _preset_fig1() -> ExperimentSpec:
+def _reference_experiment() -> ExperimentSpec:
+    """fig1: every record at its reference default."""
     return ExperimentSpec(
         Metric.SUCCESS_PROB, SweepSpec(SweepVariable.THETA_DB, -20.0, 20.0, 41)
     )
@@ -691,8 +675,8 @@ def _preset_fig9() -> ExperimentSpec:
 
 
 FIGURE_PRESETS = {
-    "fig1": _preset_fig1,
-    "fig2": lambda: replace(_preset_fig1(), compare_mixes=_NARROW_UNIFORM_WIDE),
+    "fig1": _reference_experiment,
+    "fig2": lambda: replace(_reference_experiment(), compare_mixes=_NARROW_UNIFORM_WIDE),
     "fig3": _preset_fig3,
     "fig4": _preset_fig4,
     "fig5": lambda: replace(_preset_fig4(), compare_mixes=_NARROW_UNIFORM_WIDE),

@@ -249,6 +249,26 @@ def test_sample_type_never_returns_zero_mass_type():
     assert set(draws) == {1, 3}
 
 
+class _FixedUniforms:
+    """Stands in for a generator whose ``random`` always returns ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size=None):
+        return self.u if size is None else np.full(size, self.u)
+
+
+def test_sample_type_skips_trailing_zero_mass_types_near_one():
+    # the mix sums to 1 - 1e-13, inside PROB_TOL; a uniform just below 1
+    # lies past the cumulative sum but must still draw a positive-mass type
+    config = BandwidthConfig(3, (0.5, 0.5 - 1e-13, 0.0))
+    rng = _FixedUniforms(1.0 - 1e-14)
+    assert sample_type(config, rng) == 2
+    assert sample_type(config, rng, 4).tolist() == [2, 2, 2, 2]
+    assert sample_type(config, _FixedUniforms(0.25)) == 1
+
+
 def test_sample_type_chisquare_uniform():
     rng = np.random.default_rng(42)
     config = BandwidthConfig.uniform(3)

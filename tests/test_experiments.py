@@ -2,15 +2,17 @@
 
 import os
 import re
+from configparser import ConfigParser
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bwalloc import metrics
-from bwalloc.cli import main
+from bwalloc.cli import _spec_from_args, build_parser, main
 from bwalloc.errors import ConfigError
 from bwalloc.experiments import (
+    FIGURE_PRESETS,
     ExperimentSpec,
     Metric,
     SweepSpec,
@@ -74,6 +76,13 @@ def test_spec_validation():
         _spec(compare_modes=True)
     with pytest.raises(ConfigError):
         _spec(metric="coverage")
+    for theta_db in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            ExperimentSpec(
+                Metric.META_DIST, SweepSpec(SweepVariable.X, 0.1, 0.9, 5), theta_db=theta_db
+            )
+        with pytest.raises(ConfigError):
+            _spec(theta_db=theta_db)
     # k sweeps must hit every type exactly once per point, inside [1, n]
     k_sweep = dict(metric=Metric.THROUGHPUT)
     with pytest.raises(ConfigError):
@@ -239,6 +248,84 @@ def test_config_round_trip_exact():
         compare_mixes=((1.0, 0.0, 0.0), (1 / 3, 1 / 3, 1 / 3), (0.1, 0.6, 0.3)),
     )
     assert parse_config(render_config(mixes)) == mixes
+
+
+FIG6_CONFIG = """\
+[network]
+intensity = 0.2
+link_distance = 1.0
+alpha = 4.0
+c0 = 1.0
+
+[bandwidth]
+n_chunks = 10
+type_probs = 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1
+mode = random
+power_per_chunk = 2.0
+
+[sim]
+n_realizations = 10000
+seed = 0
+window_radius = none
+n_fading_draws = 1000
+conditional_mode = closed_form_given_phi
+
+[experiment]
+metric = throughput
+sweep_variable = k
+sweep_start = 1.0
+sweep_stop = 10.0
+sweep_points = 10
+sweep_scale = linear
+theta_db = none
+alt_type_probs = none
+mean_model_metric = success_prob
+compare_modes = true
+compare_mixes = none
+output = none
+"""
+
+
+def test_rendered_config_text_is_pinned():
+    assert render_config(FIGURE_PRESETS["fig6"]()) == FIG6_CONFIG
+
+
+@pytest.mark.parametrize("name", sorted(FIGURE_PRESETS))
+def test_every_preset_round_trips_through_the_config_text(name):
+    spec = FIGURE_PRESETS[name]()
+    assert parse_config(render_config(spec)) == spec
+
+
+def test_unknown_section_or_key_is_an_error(tmp_path):
+    for text, name in [
+        ("[sim]\nseeed = 3\n", "seeed"),
+        ("[netwrok]\nintensity = 9\n", "netwrok"),
+        ("[experiment]\nmetric = success_prob\n\n[sim]\nseeed = 3\n", "seeed"),
+        ("[DEFAULT]\nseed = 3\n\n[experiment]\nmetric = success_prob\n", "DEFAULT"),
+    ]:
+        with pytest.raises(ConfigError, match=name):
+            parse_config(text)
+        with pytest.raises(ConfigError, match=name):
+            parse_config(text, base=_spec())
+        csv = tmp_path / "typo.csv"
+        csv.write_text("".join(f"# {line}\n" for line in text.splitlines()) + "a,b\n1,2\n")
+        with pytest.raises(ConfigError, match=name):
+            read_csv_config(str(csv))
+        ini = tmp_path / "typo.ini"
+        ini.write_text(text)
+        out = tmp_path / "never.csv"
+        assert main(["success-prob", "--config", str(ini), "--out", str(out)]) == 1
+        assert not out.exists()
+
+
+def test_compare_modes_accepts_every_boolean_spelling():
+    base = "[experiment]\nmetric = throughput\nsweep_variable = k\nsweep_start = 1\n"
+    base += "sweep_stop = 3\nsweep_points = 3\ncompare_modes = "
+    for word, value in ConfigParser.BOOLEAN_STATES.items():
+        for spelling in (word, word.upper(), word.capitalize()):
+            assert parse_config(base + spelling + "\n").compare_modes is value
+    with pytest.raises(ConfigError):
+        parse_config(base + "maybe\n")
 
 
 def test_readme_config_example_parses():
@@ -426,6 +513,47 @@ def test_cli_flags_win_over_config(tmp_path):
     cfg.write_text("[experiment]\nsweep_scale = linear\n")
     assert main(["throughput", "--scale", "log", "--config", str(cfg), "--out", str(out)]) == 0
     assert read_csv_config(str(out)).sweep.scale == "log"
+
+
+def test_cli_sweep_flag_keeps_the_file_scale_and_variable(tmp_path):
+    # --sweep sets start, stop and points; the scale and the variable the
+    # file sets still hold
+    cfg = tmp_path / "exp.ini"
+    out = tmp_path / "t.csv"
+    cfg.write_text("[experiment]\nsweep_scale = linear\n")
+    flags = ["--config", str(cfg), "--out", str(out)]
+    assert main(["throughput", "--sweep", "0.01:1:3", *flags]) == 0
+    spec = read_csv_config(str(out))
+    assert spec.sweep == SweepSpec(SweepVariable.LAMBDA, 0.01, 1.0, 3, "linear")
+
+    cfg.write_text("[experiment]\nsweep_variable = k\n")
+    assert main(["throughput", "--sweep", "1:2:2", *flags]) == 0
+    spec = read_csv_config(str(out))
+    assert spec.sweep == SweepSpec(SweepVariable.K, 1.0, 2.0, 2, "linear")
+    header = [l for l in out.read_text().splitlines() if not l.startswith("#")][0]
+    assert header.startswith("k,rate")
+
+
+def _readme_command_lines():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("bwalloc ")]
+    assert len(lines) >= 7
+    return lines
+
+
+@pytest.mark.parametrize("line", _readme_command_lines())
+def test_readme_command_lines_parse(line, tmp_path):
+    # each line once without its optional [...] parts and once with them
+    for text in (re.sub(r"\s*\[[^\]]*\]", "", line), line.replace("[", "").replace("]", "")):
+        argv = text.split()[1:]
+        if "--out" in argv:
+            argv[argv.index("--out") + 1] = str(tmp_path / "out.csv")
+        else:
+            argv += ["--out", str(tmp_path / "out.csv")]
+        args = build_parser().parse_args(argv)
+        if args.verb != "figure":
+            assert _spec_from_args(args).output == str(tmp_path / "out.csv"), text
 
 
 def test_cli_mean_model(tmp_path):
