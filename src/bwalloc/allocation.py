@@ -134,11 +134,9 @@ def overlap_pmf_contiguous(n_chunks: int, k: int, i: int) -> OverlapPmf:
     """Shared-chunk distribution when both users draw consecutive windows.
 
     This is the marginal law, averaged over the typical user's window as
-    well as the interferer's. It is exact for means (the mean overlap and
-    everything linear in it, such as the mean interference). It is not exact
-    inside a success probability: every interferer overlaps the same typical
-    window, so their overlaps are dependent. ``window_overlap_table`` keeps
-    the typical window as a condition.
+    well as the interferer's. Every interferer overlaps the same typical
+    window, so the closed forms read ``window_overlap_table``, which keeps
+    that window as a condition.
     """
     n_chunks = _check_n_chunks(n_chunks)
     k = _check_type(n_chunks, k, "k")
@@ -153,22 +151,6 @@ def overlap_pmf(config: BandwidthConfig, k: int, i: int) -> OverlapPmf:
     return overlap_pmf_contiguous(config.n_chunks, k, i)
 
 
-def type_averaged_overlap(config: BandwidthConfig, k: int) -> np.ndarray:
-    """Overlap distribution against an interferer of random type.
-
-    Entry t of the returned array is sum_i p_i * P(overlap = t | types k, i),
-    for t = 0..k. This collapsed form is what the conditional-success product
-    and the moment integrands consume.
-
-    Like ``overlap_pmf``, it is averaged over the typical user's chunk set:
-    it is the mean of the rows of ``window_overlap_table``. In random mode
-    that average changes nothing. In contiguous mode it is exact for means
-    but not for success probabilities, which average over the typical
-    window outside the exponential.
-    """
-    return window_overlap_table(config, k).mean(axis=0)
-
-
 def window_overlap_table(config: BandwidthConfig, k: int) -> np.ndarray:
     """Overlap law given the typical user's chunk set, one row per set.
 
@@ -179,9 +161,9 @@ def window_overlap_table(config: BandwidthConfig, k: int) -> np.ndarray:
 
     In contiguous mode the rows are the n - k + 1 window starts of the
     typical user. In random mode the hypergeometric law does not depend on
-    which k chunks the typical user holds, so there is one row, equal to
-    ``type_averaged_overlap``. The mean of the rows is the marginal law in
-    both modes. The returned array is cached and read-only.
+    which k chunks the typical user holds, so there is one row. The mean of
+    the rows is the marginal law in both modes. The returned array is cached
+    and read-only.
     """
     k = _check_type(config.n_chunks, k, "k")
     return _window_overlap_table(config, k)

@@ -19,6 +19,7 @@ from .experiments import (
     _build_spec,
     _config_layer,
     _parse_probs,
+    default_bandwidth,
     run_and_write,
     run_figure,
 )
@@ -50,12 +51,12 @@ _VERBS = {
     "simulate": (Metric.SIMULATE, SweepVariable.THETA_DB),
 }
 
-#: default start, stop, points and scale of a sweep over each variable
+#: default start, stop, points and scale of a sweep over each variable; a k
+#: sweep defaults to every type of the resolved chunk count
 _DEFAULT_SWEEPS = {
     SweepVariable.THETA_DB: (-20.0, 20.0, 41, "linear"),
     SweepVariable.X: (0.05, 0.95, 19, "linear"),
     SweepVariable.LAMBDA: (0.01, 1.0, 13, "log"),
-    SweepVariable.K: (1.0, 3.0, 3, "linear"),
 }
 _DEFAULT_SIMULATE_SWEEP = (-10.0, 10.0, 5, "linear")
 
@@ -161,8 +162,9 @@ def _flag_layer(args) -> dict:
 
 
 def _verb_defaults(verb: str, given: dict) -> dict:
-    """The verb's defaults; the sweep range follows the sweep variable that
-    the config file and the flags (``given``) resolve to."""
+    """The verb's defaults; the sweep range follows the sweep variable (and,
+    for k, the chunk count) that the config file and the flags (``given``)
+    resolve to."""
     metric, variable = _VERBS[verb]
     mean_model_metric = given.get(_MEAN_MODEL_METRIC, "success_prob")
     if metric is Metric.MEAN_MODEL and mean_model_metric != "success_prob":
@@ -170,6 +172,9 @@ def _verb_defaults(verb: str, given: dict) -> dict:
     variable = given.get(_VARIABLE, variable)
     if metric is Metric.SIMULATE and variable == SweepVariable.THETA_DB:
         sweep = _DEFAULT_SIMULATE_SWEEP
+    elif variable == SweepVariable.K:
+        n = given.get(("bandwidth", "n_chunks"), default_bandwidth().n_chunks)
+        sweep = (1.0, float(n), n, "linear")
     else:
         sweep = _DEFAULT_SWEEPS.get(variable, ())
     defaults = {_VARIABLE: variable, **dict(zip(_RANGE, sweep))}

@@ -164,7 +164,7 @@ class ExperimentSpec:
                 n = self.bandwidth.n_chunks
                 for v in self.sweep.values():
                     if abs(v - round(v)) > 1e-9 or not 1 <= round(v) <= n:
-                        raise ConfigError(f"k sweep value {v!r} is not a type in [1, {n}]")
+                        raise ConfigError(f"k sweep value {v:g} is not a type in [1, {n}]")
         elif metric is Metric.MEAN_MODEL:
             if self.alt_type_probs is None:
                 raise ConfigError("mean_model needs alt_type_probs")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import gamma as _gamma
 
-from .allocation import _check_type, type_averaged_overlap
+from .allocation import _check_type, window_overlap_table
 from .errors import DomainError
 from .params import BandwidthConfig, NetworkParams
 
@@ -52,8 +52,8 @@ def _campbell_prefactor(net: NetworkParams) -> float:
 
 def _mean_overlap(ba: BandwidthConfig, k: int) -> float:
     """Mean shared-chunk count of a type-k user against an interferer of
-    random type: sum_t t q_t."""
-    return float(np.arange(k + 1) @ type_averaged_overlap(ba, k))
+    random type: sum_t t q_t, with q the mean of the overlap table's rows."""
+    return float(np.arange(k + 1) @ window_overlap_table(ba, k).mean(axis=0))
 
 
 def _mix_mean_overlap(ba: BandwidthConfig) -> float:

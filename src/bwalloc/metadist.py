@@ -19,11 +19,10 @@ below the cutoff by a hard cap on u, the inversion raises
 ``OscillatoryIntegrationError`` and names the gap or the tail size, and
 ``meta_ccdf(method="auto")`` falls back to the beta fit.
 
-The per-interferer factor uses ``type_averaged_overlap``, the overlap law
-averaged over the typical user's chunk set. In random mode that is exact. In
-contiguous mode every interferer overlaps the same typical window, so the
-moments here are the window-averaged approximation: unlike
-``metrics.success_prob_k``, they do not condition on the typical window.
+Given the typical user's chunk set, the per-interferer factor reads one row
+of ``window_overlap_table``. Each row gets its own radial profile, and every
+moment and ccdf is the mean over the equally likely rows: one row in random
+mode, one per typical window start in contiguous mode.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import betainc as _betainc
 
-from .allocation import _check_type, type_averaged_overlap
+from .allocation import _check_type, window_overlap_table
 from .errors import DomainError, IntegrationError, OscillatoryIntegrationError
 from .params import BandwidthConfig, NetworkParams
 
@@ -100,7 +99,8 @@ def _interference_discount(net, k, theta, r, q):
 
 
 class _RadialProfile:
-    """Gauss-Legendre discretization of the moment exponent's radial integral.
+    """Gauss-Legendre discretization of the moment exponent's radial integral
+    for one overlap law ``q`` (a row of ``window_overlap_table``).
 
     The half-line is compactified with r = R tan(v); nodes are doubled until
     the exponent stabilizes on real and imaginary probe orders, so one grid
@@ -110,10 +110,9 @@ class _RadialProfile:
 
     _PROBES = (1.0, 7.0j, 31.0j)
 
-    def __init__(self, net: NetworkParams, ba: BandwidthConfig, k: int, theta: float):
+    def __init__(self, net: NetworkParams, k: int, theta: float, q: np.ndarray):
         self.prefactor = 2.0 * math.pi * net.intensity
         r_link = net.link_distance
-        q = type_averaged_overlap(ba, k)
         self._levels = [None] * _N_LEVELS
         self._tail = math.inf
         prev = None
@@ -237,10 +236,10 @@ def _panel_rule(n: int, first: int, count: int) -> tuple[np.ndarray, np.ndarray]
 
 
 @lru_cache(maxsize=64)
-def _profile(net: NetworkParams, ba: BandwidthConfig, k: int, theta: float) -> _RadialProfile:
-    # parameter records are frozen, so one converged grid serves all the
-    # moment orders and reliability thresholds evaluated against it
-    return _RadialProfile(net, ba, k, theta)
+def _profiles(net: NetworkParams, ba: BandwidthConfig, k: int, theta: float) -> tuple:
+    # parameter records are frozen, so one converged grid per overlap-table
+    # row serves all the moment orders and reliability thresholds
+    return tuple(_RadialProfile(net, k, theta, q) for q in window_overlap_table(ba, k))
 
 
 def moment_b_k(
@@ -250,10 +249,9 @@ def moment_b_k(
 
     Real orders are integrated adaptively on the compactified half-line;
     complex orders go through the converged radial grid, which tolerates the
-    oscillation that defeats generic adaptive rules. Returns a float for real
-    orders and a complex number otherwise. In contiguous mode the overlap law
-    is averaged over the typical window (see the module docstring), so the
-    first moment lies at or below ``success_prob_k`` there.
+    oscillation that defeats generic adaptive rules. Either way the moment is
+    the mean over the rows of ``window_overlap_table``. Returns a float for
+    real orders and a complex number otherwise.
     """
     theta = _check_theta(theta)
     k = _check_type(ba.n_chunks, k, "k")
@@ -261,23 +259,27 @@ def moment_b_k(
     if b == 0:
         return 1.0
     if b.imag != 0.0:
-        return complex(_profile(net, ba, k, theta).moment(b))
+        return complex(np.mean([p.moment(b) for p in _profiles(net, ba, k, theta)]))
 
     b_real = b.real
     r_link = net.link_distance
-    q = type_averaged_overlap(ba, k)
 
-    def integrand(v: float) -> float:
+    def integrand(v: float, q: np.ndarray) -> float:
         r = r_link * math.tan(v)
         jac = r_link / math.cos(v) ** 2
         h = float(_interference_discount(net, k, theta, r, q)[0])
         # 1 - (1 - h)^b without cancellation on the far tail
         return -math.expm1(b_real * math.log1p(-h)) * r * jac
 
-    out = integrate.quad(integrand, 0.0, math.pi / 2.0, epsabs=1e-12, limit=200, full_output=1)
-    if len(out) > 3:
-        raise IntegrationError(f"moment quadrature failed: {out[3]}")
-    return float(np.exp(-2.0 * math.pi * net.intensity * out[0]))
+    moments = []
+    for q in window_overlap_table(ba, k):
+        out = integrate.quad(
+            integrand, 0.0, math.pi / 2.0, args=(q,), epsabs=1e-12, limit=200, full_output=1
+        )
+        if len(out) > 3:
+            raise IntegrationError(f"moment quadrature failed: {out[3]}")
+        moments.append(np.exp(-2.0 * math.pi * net.intensity * out[0]))
+    return float(np.mean(moments))
 
 
 def meta_ccdf_gilpelaez(
@@ -286,8 +288,9 @@ def meta_ccdf_gilpelaez(
     """P(conditional success probability > x) by inversion of the
     imaginary-order moments: 1/2 + (1/pi) int_0^inf Im(e^{-ju ln x} M_ju)/u du.
 
-    The integral runs on the profile's cached u grid (see the module
-    docstring), so every x after the first costs one dot product per level.
+    The integral runs on each profile's cached u grid (see the module
+    docstring), so every x after the first costs one dot product per level
+    and overlap-table row; the ccdf is the mean over the rows.
     Raises ``OscillatoryIntegrationError`` when |M(ju)| has not fallen below
     the tail cutoff by the cap on u, or when the two finest levels still
     differ by more than the tolerance.
@@ -299,7 +302,7 @@ def meta_ccdf_gilpelaez(
         return 1.0
     if x == 1.0:
         return 0.0
-    return _profile(net, ba, k, theta).ccdf(x)
+    return float(np.mean([p.ccdf(x) for p in _profiles(net, ba, k, theta)]))
 
 
 def beta_shape_parameters(

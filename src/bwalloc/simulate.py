@@ -11,9 +11,10 @@ interferer's chunk set only through the number of chunks it shares with the
 typical user, so the loop draws those counts directly and never builds chunk
 sets. Realization idx draws everything from ``realization_rng(seed, idx)``,
 in a fixed order: the typical type (only when it is drawn from the mix), the
-interferer count, their distances, their types, their shared-chunk counts,
-the fading of the interferers that share a chunk, the typical fading, then
-what the statistic draws itself. Estimates are therefore bit-reproducible and
+interferer count, their distances, their types, the typical window start
+(contiguous mode only), their shared-chunk counts, the fading of the
+interferers that share a chunk, the typical fading, then what the statistic
+draws itself. Estimates are therefore bit-reproducible and
 independent of any execution order. ``sample_realization`` is the reference
 sampler: it draws positions and full chunk sets, and its distances equal the
 loop's at the same (seed, idx).
@@ -34,7 +35,7 @@ from .allocation import (
     overlap_pmf_random,
     sample_chunk_set,
     sample_type,
-    type_averaged_overlap,
+    window_overlap_table,
 )
 from .errors import ConfigError, DomainError
 from .metadist import _check_theta, _interference_discount
@@ -144,6 +145,12 @@ class NetworkRealization:
     def n_interferers(self) -> int:
         return self.positions.shape[0]
 
+    @property
+    def typical_start(self) -> int:
+        """0-based first chunk of the typical user; its window start in
+        contiguous mode."""
+        return int(np.argmax(self.typical_occupancy))
+
     def distances(self) -> np.ndarray:
         return np.hypot(self.positions[:, 0], self.positions[:, 1])
 
@@ -156,13 +163,15 @@ class NetworkRealization:
 class _SampledNetwork:
     """What the realization loop samples of one network, with the read
     interface of ``NetworkRealization``: each interferer's distance and
-    shared-chunk count, and its fading, which is 0 where the count is 0."""
+    shared-chunk count, its fading, which is 0 where the count is 0, and the
+    typical window start (0 in random mode)."""
 
     distance: np.ndarray
     overlap: np.ndarray
     fading: np.ndarray
     typical_type: int
     typical_fading: float
+    typical_start: int
 
     def distances(self) -> np.ndarray:
         return self.distance
@@ -263,14 +272,15 @@ def _overlap_cdf(n_chunks: int, k: int) -> np.ndarray:
 
 
 def _sample_overlaps(
-    ba: BandwidthConfig, k: int, types: np.ndarray, rng: np.random.Generator
+    ba: BandwidthConfig, k: int, types: np.ndarray, rng: np.random.Generator, typical
 ) -> np.ndarray:
     """Shared-chunk count of each interferer with a type-k typical user.
 
     The last axis of ``types`` runs over the interferers of one network;
-    leading axes index independent networks, each with its own typical chunk
-    set. Random mode inverts each pair's exact law; contiguous mode draws the
-    typical window start, then every interferer's, and intersects them.
+    leading axes index independent networks. Random mode inverts each pair's
+    exact law. Contiguous mode draws every interferer's window start and
+    intersects it with the typical window, which starts at ``typical``: one
+    start, or one per network (shape ``types.shape[:-1] + (1,)``).
     """
     n_chunks = ba.n_chunks
     if ba.mode is AllocationMode.RANDOM:
@@ -280,7 +290,6 @@ def _sample_overlaps(
         for cdf_t in _overlap_cdf(n_chunks, k).T:
             overlaps += u >= cdf_t[row]
         return overlaps
-    typical = _window_starts(n_chunks, np.full(types.shape[:-1] + (1,), k), rng)
     starts = _window_starts(n_chunks, types, rng)
     return np.maximum(0, np.minimum(typical + k, starts + types) - np.maximum(typical, starts))
 
@@ -326,16 +335,11 @@ def conditional_success_prob(
 ) -> float:
     """Success probability given the interferer positions.
 
-    The closed-form route averages fading and everyone's chunk draws exactly,
-    yielding a product of per-interferer factors that depends on the pattern
-    only through distances. The empirical route redraws types, shared-chunk
-    counts and fading with distances held fixed.
-
-    The closed-form route uses ``type_averaged_overlap``, the overlap law
-    averaged over the typical user's chunk set. In contiguous mode that
-    treats the interferers' overlaps as independent, although they share the
-    typical window, so it is an approximation there; the empirical route
-    draws one typical window per fading draw.
+    Both routes hold the distances and the typical window (``typical_start``
+    in contiguous mode) fixed. The closed-form route averages fading and the
+    interferers' chunk draws exactly, yielding a product of per-interferer
+    factors over the window's row of ``window_overlap_table``. The empirical
+    route redraws the interferers' types, shared-chunk counts and fading.
     """
     k = _check_type(ba.n_chunks, k, "k")
     theta = _check_theta(theta)
@@ -345,10 +349,11 @@ def conditional_success_prob(
         raise DomainError(str(exc)) from None
     n_fading_draws = _check_count(n_fading_draws, "n_fading_draws", DomainError)
     dist = real.distances()
+    start = real.typical_start if ba.mode is AllocationMode.CONTIGUOUS else 0
     if mode is ConditionalMode.CLOSED_FORM_GIVEN_PHI:
         if dist.size == 0:
             return 1.0
-        q = type_averaged_overlap(ba, k)
+        q = window_overlap_table(ba, k)[start]
         return float(np.prod(1.0 - _interference_discount(net, k, theta, dist, q)))
 
     if rng is None:
@@ -364,7 +369,7 @@ def conditional_success_prob(
     block = max(1, 250_000 // n)
     while done < n_fading_draws:
         m = min(block, n_fading_draws - done)
-        t_x = _sample_overlaps(ba, k, sample_type(ba, rng, (m, n)), rng)
+        t_x = _sample_overlaps(ba, k, sample_type(ba, rng, (m, n)), rng, start)
         h = _fading_where_shared(t_x, rng)
         h0 = rng.exponential(1.0, m)
         interference = (t_x * h * attenuation[None, :]).sum(axis=1)
@@ -387,14 +392,18 @@ def _realizations(net: NetworkParams, ba: BandwidthConfig, sim: SimConfig, k: in
         k = _check_type(ba.n_chunks, k, "k")
     radius = _window(net, sim)
     mean_count = net.intensity * math.pi * radius * radius
+    random = ba.mode is AllocationMode.RANDOM
     for idx in range(sim.n_realizations):
         rng = realization_rng(sim.seed, idx)
         k_typ = sample_type(ba, rng) if k is None else k
         distance = radius * np.sqrt(rng.random(int(rng.poisson(mean_count))))
-        overlap = _sample_overlaps(ba, k_typ, sample_type(ba, rng, distance.size), rng)
+        types = sample_type(ba, rng, distance.size)
+        # random mode has one overlap-table row and draws no typical window
+        start = 0 if random else int(_window_starts(ba.n_chunks, np.array(k_typ), rng))
+        overlap = _sample_overlaps(ba, k_typ, types, rng, start)
         fading = _fading_where_shared(overlap, rng)
         typical_fading = float(rng.exponential(1.0))
-        yield rng, k_typ, _SampledNetwork(distance, overlap, fading, k_typ, typical_fading)
+        yield rng, k_typ, _SampledNetwork(distance, overlap, fading, k_typ, typical_fading, start)
 
 
 def _binomial_estimate(hits: int, n: int) -> EstimateWithCI:

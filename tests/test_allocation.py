@@ -21,7 +21,6 @@ from bwalloc.allocation import (
     overlap_pmf_random,
     sample_chunk_set,
     sample_type,
-    type_averaged_overlap,
     window_overlap_table,
 )
 from bwalloc.errors import ConfigError, DomainError
@@ -156,9 +155,9 @@ def test_overlap_pmf_rejects_bad_support():
         OverlapPmf(3, 2, 2, (1, 2), (Fraction(3, 4), Fraction(3, 4)))
 
 
-def test_type_averaged_overlap_collapses_mix():
+def test_window_overlap_row_mean_collapses_mix():
     config = BandwidthConfig.uniform(3)
-    q = type_averaged_overlap(config, 2)
+    q = window_overlap_table(config, 2).mean(axis=0)
     expected = np.zeros(3)
     for i in (1, 2, 3):
         for t, m in overlap_pmf_random(3, 2, i).items():

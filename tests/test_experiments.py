@@ -614,3 +614,21 @@ def test_cli_throughput_k_sweep(tmp_path):
     assert code == 0
     lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
     assert lines[0].startswith("k,rate")
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_cli_k_sweep_defaults_to_every_type(tmp_path, capsys, n):
+    cfg = tmp_path / "k.ini"
+    probs = ", ".join([f"1/{n}"] * n)
+    cfg.write_text(f"[bandwidth]\nn_chunks = {n}\ntype_probs = {probs}\n")
+    out = tmp_path / "k.csv"
+    flags = ["--sweep-var", "k", "--config", str(cfg), "--out", str(out)]
+    assert main(["throughput", *flags]) == 0
+    assert f"wrote {n} rows" in capsys.readouterr().out
+    rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+    assert [float(r.split(",")[0]) for r in rows] == list(range(1, n + 1))
+    # an explicit range past the last type names the value plainly
+    assert main(["throughput", *flags, "--sweep", "1:3:3"]) == (1 if n == 2 else 0)
+    if n == 2:
+        err = capsys.readouterr().err
+        assert "k sweep value 3 is not a type in [1, 2]" in err

@@ -23,11 +23,12 @@ from bwalloc.metadist import (
     moment_b_k,
 )
 from bwalloc.metrics import success_prob_k
-from bwalloc.params import BandwidthConfig, NetworkParams, PathLossModel
+from bwalloc.params import AllocationMode, BandwidthConfig, NetworkParams, PathLossModel
 
 BOUNDED = NetworkParams(0.2, 1.0, PathLossModel.bounded(4.0, 1.0))
 POWER_LAW = NetworkParams(0.2, 1.0, PathLossModel.power_law(4.0))
 UNIFORM3 = BandwidthConfig.uniform(3, power_per_chunk=2.0)
+CONTIGUOUS3 = BandwidthConfig.uniform(3, mode=AllocationMode.CONTIGUOUS, power_per_chunk=2.0)
 
 THETA_MINUS5DB = 10 ** (-5 / 10)
 
@@ -35,6 +36,19 @@ THETA_MINUS5DB = 10 ** (-5 / 10)
 def test_zeroth_moment_is_one():
     assert moment_b_k(BOUNDED, UNIFORM3, 1, 1.0, 0.0) == 1.0
     assert moment_b_k(POWER_LAW, UNIFORM3, 2, 0.3, 0) == 1.0
+
+
+@pytest.mark.parametrize(
+    "n, k", [(3, 1), (3, 3), (10, 1), (10, 4), (10, 10)], ids=lambda v: str(v)
+)
+def test_first_moment_equals_closed_form_contiguous(n, k):
+    # each typical window start has its own profile, so M_1 is the mean of
+    # the rows' moments, exactly as success_prob_k averages the rows
+    ba = BandwidthConfig.uniform(n, mode=AllocationMode.CONTIGUOUS, power_per_chunk=2.0)
+    for theta_db in (-5.0, 0.0, 10.0):
+        theta = 10 ** (theta_db / 10)
+        m1 = moment_b_k(BOUNDED, ba, k, theta, 1.0)
+        assert abs(m1 - success_prob_k(BOUNDED, ba, k, theta)) <= 1e-10, theta_db
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -53,17 +67,19 @@ def test_first_moment_equals_closed_form_bounded(k, theta):
     assert abs(m1 - closed) / closed < 1e-6
 
 
-def _oracle_moment(net, k, theta, b):
-    """Moment integral evaluated with mpmath, written from scratch.
+def _oracle_moment(net, k, theta, b, q=None):
+    """Moment integral evaluated with mpmath, written from scratch, for the
+    overlap law ``q`` (default: uniform mix of three chunks, random mode).
 
     High working precision keeps the 1 - (...)**b cancellation on the far
     tail from polluting the tanh-sinh rule.
     """
     c0, alpha, r_link, lam = net.pathloss.c0, net.pathloss.alpha, net.link_distance, net.intensity
-    q = [0.0] * (k + 1)
-    for i in (1, 2, 3):
-        for t, mass in overlap_pmf_random(3, k, i).items():
-            q[t] += float(mass) / 3.0
+    if q is None:
+        q = [0.0] * (k + 1)
+        for i in (1, 2, 3):
+            for t, mass in overlap_pmf_random(3, k, i).items():
+                q[t] += float(mass) / 3.0
 
     with mpmath.workdps(50):
 
@@ -98,6 +114,29 @@ def test_real_moments_match_mpmath_oracle(b):
 def test_complex_moments_match_mpmath_oracle(u):
     oracle = _oracle_moment(BOUNDED, 2, 1.0, 1j * u)
     got = moment_b_k(BOUNDED, UNIFORM3, 2, 1.0, 1j * u)
+    assert abs(got - oracle) < 1e-7
+
+
+def _window_laws(n, k):
+    """Overlap law against a uniform-mix interferer for each typical window
+    start, enumerated over the interferer's windows."""
+    laws = []
+    for s in range(n - k + 1):
+        typical = set(range(s, s + k))
+        q = [0.0] * (k + 1)
+        for i in range(1, n + 1):
+            for u in range(n - i + 1):
+                q[len(typical & set(range(u, u + i)))] += 1.0 / (n * (n - i + 1))
+        laws.append(q)
+    return laws
+
+
+@pytest.mark.parametrize("b", [2.0, 4.0j])
+def test_contiguous_moments_match_window_oracle(b):
+    # M_b given the point pattern is a mean over the typical window starts;
+    # at n = 3, k = 1 the middle chunk's law differs from the edge chunks'
+    oracle = np.mean([_oracle_moment(BOUNDED, 1, 1.0, b, q) for q in _window_laws(3, 1)])
+    got = moment_b_k(BOUNDED, CONTIGUOUS3, 1, 1.0, b)
     assert abs(got - oracle) < 1e-7
 
 

@@ -7,6 +7,8 @@ agreement thresholds are 3 standard errors unless noted.
 import math
 from collections import Counter, defaultdict
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -29,6 +31,7 @@ from bwalloc.simulate import (
     SimConfig,
     _realizations,
     _sample_overlaps,
+    _window_starts,
     conditional_success_prob,
     estimate_mean_interference,
     estimate_meta_distribution,
@@ -42,6 +45,7 @@ from bwalloc.simulate import (
 
 BOUNDED = NetworkParams(0.2, 1.0, PathLossModel.bounded(4.0, 1.0))
 UNIFORM3 = BandwidthConfig.uniform(3, power_per_chunk=2.0)
+CONTIGUOUS10 = BandwidthConfig.uniform(10, mode=AllocationMode.CONTIGUOUS, power_per_chunk=2.0)
 
 
 def _manual_realization(positions, overlaps, fading, k, h0, n_chunks=3):
@@ -172,7 +176,7 @@ def test_random_overlap_draw_follows_the_pair_law(n):
     draws = 20_000
     for k in (1, n):
         for i in range(1, n + 1):
-            t = _sample_overlaps(ba, k, np.full((draws // 50, 50), i), rng)
+            t = _sample_overlaps(ba, k, np.full((draws // 50, 50), i), rng, 0)
             freq = np.bincount(t.ravel(), minlength=k + 1) / draws
             pmf = overlap_pmf(ba, k, i)
             for t_value in range(k + 1):
@@ -199,7 +203,8 @@ def test_contiguous_overlap_draw_conditions_on_the_typical_window(n):
     for k in (1, n):
         starts = range(n - k + 1)
         for i, j in sorted({(n - 1, n - 1), (1, n - 1), (2, n)}):
-            t = _sample_overlaps(ba, k, np.tile([i, j], (networks, 1)), rng)
+            typical = _window_starts(n, np.full((networks, 1), k), rng)
+            t = _sample_overlaps(ba, k, np.tile([i, j], (networks, 1)), rng, typical)
             observed = Counter(zip(t[:, 0].tolist(), t[:, 1].tolist()))
             expected = defaultdict(float)
             for s in starts:
@@ -273,6 +278,29 @@ def test_conditional_single_interferer_hand_formula():
     assert got == pytest.approx(expected, rel=1e-12)
 
 
+def test_conditional_closed_form_reads_the_typical_window():
+    # one type-2 interferer against a type-1 typical user in contiguous mode:
+    # the factor depends on which chunk the typical user holds
+    d, theta = 2.0, 1.0
+    ba = BandwidthConfig.uniform(3, mode=AllocationMode.CONTIGUOUS)
+    ratio = (1.0 / (1.0 + d**4)) / 0.5
+    values = []
+    for s in range(3):
+        real = _manual_realization([(d, 0.0)], [1], [1.0], k=1, h0=1.0)
+        typical = np.zeros(3, dtype=bool)
+        typical[s] = True
+        real = replace(real, typical_occupancy=typical)
+        assert real.typical_start == s
+        expected = sum(
+            (1 / 3) * mass / (1.0 + theta * t * ratio)
+            for i in (1, 2, 3)
+            for t, mass in _window_law_given_start(3, 1, i, s).items()
+        )
+        values.append(conditional_success_prob(real, BOUNDED, ba, 1, theta))
+        assert values[-1] == pytest.approx(expected, rel=1e-12)
+    assert values[0] == values[2] != values[1]
+
+
 def test_conditional_modes_agree():
     sim = SimConfig(seed=29, window_radius=25.0)
     rng = realization_rng(29, 4)
@@ -305,6 +333,21 @@ def test_conditional_tower_property():
         vals[idx] = conditional_success_prob(real, BOUNDED, UNIFORM3, 1, 1.0)
     se = vals.std(ddof=1) / math.sqrt(n_real)
     assert abs(vals.mean() - success_prob_k(BOUNDED, UNIFORM3, 1, 1.0)) < 3 * se
+
+
+def test_conditional_tower_property_contiguous():
+    # the loop carries the typical window start, so averaging the closed
+    # route over its networks recovers the success probability; a closed
+    # route that averaged the window inside the product gives about 0.095
+    sim = SimConfig(n_realizations=2000, seed=31)
+    vals = np.array(
+        [
+            conditional_success_prob(real, BOUNDED, CONTIGUOUS10, 1, 10.0)
+            for _, _, real in _realizations(BOUNDED, CONTIGUOUS10, sim, 1)
+        ]
+    )
+    se = vals.std(ddof=1) / math.sqrt(vals.size)
+    assert abs(vals.mean() - success_prob_k(BOUNDED, CONTIGUOUS10, 1, 10.0)) < 3 * se
 
 
 def test_conditional_requires_rng_for_empirical():
@@ -402,6 +445,20 @@ def test_meta_estimate_empirical_mode_agrees():
     x = 0.5
     (a,) = estimate_meta_distribution(BOUNDED, UNIFORM3, sim_closed, 1, 1.0, [x])
     (b,) = estimate_meta_distribution(BOUNDED, UNIFORM3, sim_emp, 1, 1.0, [x])
+    joint_se = math.sqrt(a.std_error**2 + b.std_error**2)
+    assert abs(a.value - b.value) < 3 * max(joint_se, 0.01)
+
+
+def test_meta_estimate_empirical_mode_agrees_contiguous():
+    # both routes hold the typical window fixed; at n = 10, k = 1, +10 dB
+    # the window moves the conditional success probability the most
+    common = dict(n_realizations=300, seed=59, window_radius=15.0)
+    sim_emp = SimConfig(
+        **common, conditional_mode=ConditionalMode.FULLY_EMPIRICAL, n_fading_draws=1000
+    )
+    x = 0.05
+    (a,) = estimate_meta_distribution(BOUNDED, CONTIGUOUS10, SimConfig(**common), 1, 10.0, [x])
+    (b,) = estimate_meta_distribution(BOUNDED, CONTIGUOUS10, sim_emp, 1, 10.0, [x])
     joint_se = math.sqrt(a.std_error**2 + b.std_error**2)
     assert abs(a.value - b.value) < 3 * max(joint_se, 0.01)
 
