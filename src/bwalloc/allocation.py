@@ -2,11 +2,13 @@
 
 Closed-form distributions of the number of chunks shared between the typical
 user (type k) and an interferer (type i), for both allocation modes, plus the
-samplers the Monte Carlo engine builds on. The per-pair masses are exact
-rationals, so their normalization and means are checked without drift. The
-law against an interferer of random type is collapsed once per (mix, k) into
-a cached float table, ``window_overlap_table``, which every closed form
-reads.
+samplers the Monte Carlo engine builds on. Each mode's law is stated once, as
+integer counts of interferer chunk sets per typical chunk set
+(``_overlap_counts``). Everything else reads those counts: the exact
+rational pmfs, whose normalization and means are checked without drift; the
+law against an interferer of random type, collapsed once per (mix, k) into
+the cached float table ``window_overlap_table`` that every closed form
+reads; and the simulator's random-mode overlap CDF.
 """
 
 from __future__ import annotations
@@ -88,34 +90,41 @@ class OverlapPmf:
         return {t: float(p) for t, p in self.items()}
 
 
-@lru_cache(maxsize=None)
-def _random_overlap(n: int, k: int, i: int) -> OverlapPmf:
-    lo, hi = max(0, k + i - n), min(k, i)
-    denom = math.comb(n, i)
-    probs = tuple(
-        Fraction(math.comb(k, t) * math.comb(n - k, i - t), denom)
-        for t in range(lo, hi + 1)
-    )
-    return OverlapPmf(n, k, i, tuple(range(lo, hi + 1)), probs)
+def _overlap_counts(n: int, k: int, i: int, mode: AllocationMode) -> tuple[np.ndarray, int]:
+    """Integer counts of the overlap law between a type-k typical user and a
+    type-i interferer: entry (s, t) counts the interferer chunk sets that
+    share t chunks with typical chunk set s, out of ``total`` equally likely
+    ones; the rows are those of ``window_overlap_table``. Not cached: its
+    repeated readers cache what they build from it, and at n = 64 the
+    contiguous counts of a 16-type mix would hold 6 MB that nothing reads
+    twice.
+    """
+    if mode is AllocationMode.CONTIGUOUS:
+        # count, for each typical window start s, the interferer window
+        # starts u giving each overlap t
+        s = np.arange(n - k + 1)[:, None]
+        u = np.arange(n - i + 1)[None, :]
+        t = np.maximum(0, np.minimum(s + k, u + i) - np.maximum(s, u))
+        counts = np.bincount((s * (k + 1) + t).ravel(), minlength=s.size * (k + 1))
+        counts, total = counts.reshape(s.size, k + 1), n - i + 1
+    else:
+        counts = np.array(
+            [[math.comb(k, t) * math.comb(n - k, i - t) if t <= i else 0 for t in range(k + 1)]],
+            dtype=np.int64,
+        )
+        total = math.comb(n, i)
+    return counts, total
 
 
-def _contiguous_mass(n: int, k: int, i: int, t: int) -> Fraction:
-    # Window-count ratios for t in the support; the t = 0 and t = min(k, i)
-    # boundary cases have their own counts and must not fall through to the
-    # interior formula.
-    if t == k and k <= i:
-        return Fraction(i - k + 1, n - k + 1)
-    if t == i and k > i:
-        return Fraction(k - i + 1, n - i + 1)
-    if t == 0:
-        return Fraction((n - k - i + 1) * (n - k - i + 2), (n - k + 1) * (n - i + 1))
-    return Fraction(2 * (n + t - k - i + 1), (n - k + 1) * (n - i + 1))
-
-
-@lru_cache(maxsize=None)
-def _contiguous_overlap(n: int, k: int, i: int) -> OverlapPmf:
-    support = tuple(range(max(0, k + i - n), min(k, i) + 1))
-    return OverlapPmf(n, k, i, support, tuple(_contiguous_mass(n, k, i, t) for t in support))
+def _overlap_pmf(n_chunks: int, k: int, i: int, mode: AllocationMode) -> OverlapPmf:
+    n_chunks = _check_n_chunks(n_chunks)
+    k = _check_type(n_chunks, k, "k")
+    i = _check_type(n_chunks, i, "i")
+    counts, total = _overlap_counts(n_chunks, k, i, mode)
+    lo, hi = max(0, k + i - n_chunks), min(k, i)
+    denom = counts.shape[0] * total
+    probs = tuple(Fraction(c, denom) for c in counts[:, lo : hi + 1].sum(axis=0).tolist())
+    return OverlapPmf(n_chunks, k, i, tuple(range(lo, hi + 1)), probs)
 
 
 def overlap_pmf_random(n_chunks: int, k: int, i: int) -> OverlapPmf:
@@ -124,10 +133,7 @@ def overlap_pmf_random(n_chunks: int, k: int, i: int) -> OverlapPmf:
     This is the hypergeometric law: the typical user's k chunks are a fixed
     reference set and the interferer samples i chunks without replacement.
     """
-    n_chunks = _check_n_chunks(n_chunks)
-    k = _check_type(n_chunks, k, "k")
-    i = _check_type(n_chunks, i, "i")
-    return _random_overlap(n_chunks, k, i)
+    return _overlap_pmf(n_chunks, k, i, AllocationMode.RANDOM)
 
 
 def overlap_pmf_contiguous(n_chunks: int, k: int, i: int) -> OverlapPmf:
@@ -138,17 +144,12 @@ def overlap_pmf_contiguous(n_chunks: int, k: int, i: int) -> OverlapPmf:
     window, so the closed forms read ``window_overlap_table``, which keeps
     that window as a condition.
     """
-    n_chunks = _check_n_chunks(n_chunks)
-    k = _check_type(n_chunks, k, "k")
-    i = _check_type(n_chunks, i, "i")
-    return _contiguous_overlap(n_chunks, k, i)
+    return _overlap_pmf(n_chunks, k, i, AllocationMode.CONTIGUOUS)
 
 
 def overlap_pmf(config: BandwidthConfig, k: int, i: int) -> OverlapPmf:
     """Shared-chunk distribution for the configured allocation mode."""
-    if config.mode is AllocationMode.RANDOM:
-        return overlap_pmf_random(config.n_chunks, k, i)
-    return overlap_pmf_contiguous(config.n_chunks, k, i)
+    return _overlap_pmf(config.n_chunks, k, i, config.mode)
 
 
 def window_overlap_table(config: BandwidthConfig, k: int) -> np.ndarray:
@@ -171,23 +172,11 @@ def window_overlap_table(config: BandwidthConfig, k: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _window_overlap_table(config: BandwidthConfig, k: int) -> np.ndarray:
-    n = config.n_chunks
-    contiguous = config.mode is AllocationMode.CONTIGUOUS
-    starts = np.arange(n - k + 1 if contiguous else 1)[:, None]
-    table = np.zeros((starts.size, k + 1))
+    table = 0.0
     for i, p_i in enumerate(config.type_probs, start=1):
-        if p_i == 0.0:
-            continue
-        if contiguous:
-            # count, for each typical window start s, the interferer window
-            # starts u giving each overlap t; every u is equally likely
-            u = np.arange(n - i + 1)[None, :]
-            t = np.maximum(0, np.minimum(starts + k, u + i) - np.maximum(starts, u))
-            counts = np.bincount((starts * (k + 1) + t).ravel(), minlength=table.size)
-            table += counts.reshape(table.shape) * (p_i / (n - i + 1))
-        else:
-            for t, mass in _random_overlap(n, k, i).items():
-                table[0, t] += p_i * float(mass)
+        if p_i > 0.0:
+            counts, total = _overlap_counts(config.n_chunks, k, i, config.mode)
+            table += counts * (p_i / total)
     table.flags.writeable = False
     return table
 

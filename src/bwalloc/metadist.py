@@ -20,9 +20,9 @@ below the cutoff by a hard cap on u, the inversion raises
 ``meta_ccdf(method="auto")`` falls back to the beta fit.
 
 Given the typical user's chunk set, the per-interferer factor reads one row
-of ``window_overlap_table``. Each row gets its own radial profile, and every
-moment and ccdf is the mean over the equally likely rows: one row in random
-mode, one per typical window start in contiguous mode.
+of ``window_overlap_table``. Each distinct row gets its own radial profile,
+and every moment and ccdf is the mean over the equally likely rows: one row
+in random mode, one per typical window start in contiguous mode.
 """
 
 from __future__ import annotations
@@ -238,8 +238,14 @@ def _panel_rule(n: int, first: int, count: int) -> tuple[np.ndarray, np.ndarray]
 @lru_cache(maxsize=64)
 def _profiles(net: NetworkParams, ba: BandwidthConfig, k: int, theta: float) -> tuple:
     # parameter records are frozen, so one converged grid per overlap-table
-    # row serves all the moment orders and reliability thresholds
-    return tuple(_RadialProfile(net, k, theta, q) for q in window_overlap_table(ba, k))
+    # row serves all the moment orders and reliability thresholds; equal rows
+    # (contiguous windows s and n - k - s) share one profile
+    table = window_overlap_table(ba, k)
+    built = {}
+    for q in table:
+        if q.tobytes() not in built:
+            built[q.tobytes()] = _RadialProfile(net, k, theta, q)
+    return tuple(built[q.tobytes()] for q in table)
 
 
 def moment_b_k(

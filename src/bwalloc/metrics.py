@@ -203,16 +203,12 @@ def _mix_view(net: NetworkParams, ba: BandwidthConfig, view) -> ThroughputResult
     """A per-type throughput view with the typical user's type averaged over
     the mix: values and tail bounds weighted, the widest y_max, and
     truncated if any type is."""
-    mixed = [
-        _rate_ccdf_integral(net, ba, k)
-        for k in range(1, ba.n_chunks + 1)
-        if ba.type_probs[k - 1] > 0.0
-    ]
+    per_type = {k: view(net, ba, k) for k, p_k in enumerate(ba.type_probs, start=1) if p_k > 0.0}
     return ThroughputResult(
-        ba.mix_average(lambda k: view(net, ba, k).value),
-        ba.mix_average(lambda k: view(net, ba, k).tail_bound),
-        max(r.y_max for r in mixed),
-        any(r.truncated for r in mixed),
+        ba.mix_average(lambda k: per_type[k].value),
+        ba.mix_average(lambda k: per_type[k].tail_bound),
+        max(r.y_max for r in per_type.values()),
+        any(r.truncated for r in per_type.values()),
     )
 
 

@@ -10,8 +10,8 @@ import numpy as np
 
 from .errors import ConfigError
 
-#: Largest supported number of chunks. Overlap distributions are computed in
-#: exact integer arithmetic, which we cap here to keep binomials cheap.
+#: Largest supported number of chunks. Random-mode overlap counts are int64
+#: arrays, which hold comb(n, n // 2) only up to n = 66.
 MAX_CHUNKS = 64
 
 #: Tolerance on sum(type_probs) == 1.

@@ -26,13 +26,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import accumulate
 
 import numpy as np
 
 from .allocation import (
     _check_type,
-    overlap_pmf_random,
+    _overlap_counts,
     sample_chunk_set,
     sample_type,
     window_overlap_table,
@@ -260,12 +259,13 @@ def sample_realization(
 @lru_cache(maxsize=None)
 def _overlap_cdf(n_chunks: int, k: int) -> np.ndarray:
     """Random mode: entry (i - 1, t) is P(overlap <= t) between a type-k
-    typical user and a type-i interferer, for t < k, summed exactly from
-    ``overlap_pmf_random`` and rounded once. The column t = k would be 1."""
+    typical user and a type-i interferer, for t < k: the cumulative integer
+    counts of ``allocation._overlap_counts`` over their total, divided once.
+    The column t = k would be 1."""
     rows = []
     for i in range(1, n_chunks + 1):
-        pmf = overlap_pmf_random(n_chunks, k, i)
-        rows.append([float(c) for c in accumulate(pmf.mass(t) for t in range(k))])
+        counts, total = _overlap_counts(n_chunks, k, i, AllocationMode.RANDOM)
+        rows.append(np.cumsum(counts[0, :k]) / total)
     cdf = np.array(rows)
     cdf.flags.writeable = False
     return cdf

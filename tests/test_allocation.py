@@ -24,7 +24,7 @@ from bwalloc.allocation import (
     window_overlap_table,
 )
 from bwalloc.errors import ConfigError, DomainError
-from bwalloc.params import AllocationMode, BandwidthConfig
+from bwalloc.params import MAX_CHUNKS, AllocationMode, BandwidthConfig
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +195,23 @@ def test_window_overlap_table_averages_to_marginal(mode):
             for t, mass in overlap_pmf(config, k, i).items():
                 marginal[t] += p_i * float(mass)
         np.testing.assert_allclose(table.mean(axis=0), marginal, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("k", [1, 17, 32, 64])
+def test_window_overlap_table_widest_band(k):
+    # comb(64, 32) exceeds 2**53, so the counts are rounded on their way to
+    # floats; the table must still match the exact sum of the per-pair laws
+    types = range(1, MAX_CHUNKS + 1, 4)
+    probs = np.zeros(MAX_CHUNKS)
+    probs[np.array(types) - 1] = np.random.default_rng(12).dirichlet(np.ones(len(types)))
+    config = BandwidthConfig(MAX_CHUNKS, tuple(probs))
+    exact = [Fraction(0)] * (k + 1)
+    for i in types:
+        for t, mass in overlap_pmf_random(MAX_CHUNKS, k, i).items():
+            exact[t] += Fraction(config.type_probs[i - 1]) * mass
+    table = window_overlap_table(config, k)
+    assert table.shape == (1, k + 1)
+    np.testing.assert_allclose(table[0], [float(e) for e in exact], rtol=0, atol=1e-15)
 
 
 def test_window_overlap_table_domain_errors():

@@ -12,6 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from bwalloc import metadist
 from bwalloc.allocation import overlap_pmf_random
 from bwalloc.errors import DomainError, OscillatoryIntegrationError
 from bwalloc.metadist import (
@@ -49,6 +50,23 @@ def test_first_moment_equals_closed_form_contiguous(n, k):
         theta = 10 ** (theta_db / 10)
         m1 = moment_b_k(BOUNDED, ba, k, theta, 1.0)
         assert abs(m1 - success_prob_k(BOUNDED, ba, k, theta)) <= 1e-10, theta_db
+
+
+def test_mirror_rows_share_one_profile(monkeypatch):
+    # contiguous rows s and n - k - s are equal, so the 10 typical windows of
+    # n = 10, k = 1 need only 5 radial profiles
+    built = []
+
+    class CountingProfile(metadist._RadialProfile):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(metadist, "_RadialProfile", CountingProfile)
+    ba = BandwidthConfig.uniform(10, mode=AllocationMode.CONTIGUOUS, power_per_chunk=2.0)
+    profiles = metadist._profiles.__wrapped__(BOUNDED, ba, 1, THETA_MINUS5DB)
+    assert len(built) == 5 and len(profiles) == 10
+    assert all(profiles[s] is profiles[9 - s] for s in range(10))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

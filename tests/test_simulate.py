@@ -6,6 +6,7 @@ agreement thresholds are 3 standard errors unless noted.
 
 import math
 from collections import Counter, defaultdict
+from itertools import accumulate
 
 from dataclasses import replace
 
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bwalloc.allocation import overlap_pmf, sample_type
+from bwalloc.allocation import overlap_pmf, overlap_pmf_random, sample_type
 from bwalloc.errors import ConfigError, DomainError
 from bwalloc.meanmodel import mean_interference_k, mean_interference_overall
 from bwalloc.metadist import meta_ccdf_gilpelaez
@@ -23,12 +24,19 @@ from bwalloc.metrics import (
     success_prob_k,
     success_prob_overall,
 )
-from bwalloc.params import AllocationMode, BandwidthConfig, NetworkParams, PathLossModel
+from bwalloc.params import (
+    MAX_CHUNKS,
+    AllocationMode,
+    BandwidthConfig,
+    NetworkParams,
+    PathLossModel,
+)
 from bwalloc.simulate import (
     ConditionalMode,
     EstimateWithCI,
     NetworkRealization,
     SimConfig,
+    _overlap_cdf,
     _realizations,
     _sample_overlaps,
     _window_starts,
@@ -181,6 +189,18 @@ def test_random_overlap_draw_follows_the_pair_law(n):
             pmf = overlap_pmf(ba, k, i)
             for t_value in range(k + 1):
                 assert _within_4_se(freq[t_value], float(pmf.mass(t_value)), draws), (k, i)
+
+
+@pytest.mark.parametrize("k", [1, 17, 32, 64])
+def test_overlap_cdf_widest_band(k):
+    # the cumulative counts exceed 2**53 at n = 64; each entry must still be
+    # the exact cumulative pair law, rounded
+    cdf = _overlap_cdf(MAX_CHUNKS, k)
+    assert cdf.shape == (MAX_CHUNKS, k)
+    for i in range(1, MAX_CHUNKS + 1):
+        pmf = overlap_pmf_random(MAX_CHUNKS, k, i)
+        exact = [float(c) for c in accumulate(pmf.mass(t) for t in range(k))]
+        np.testing.assert_allclose(cdf[i - 1], exact, rtol=0, atol=1e-15)
 
 
 def _window_law_given_start(n: int, k: int, i: int, s: int) -> dict[int, float]:
