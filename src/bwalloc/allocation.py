@@ -21,27 +21,14 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .params import MAX_CHUNKS, AllocationMode, BandwidthConfig
+from .params import MAX_CHUNKS, AllocationMode, BandwidthConfig, _check_int
 
 _SUM_TOL = Fraction(1, 10**12)
 
 
 def _check_type(n_chunks: int, value: int, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-    value = int(value)
-    if not 1 <= value <= n_chunks:
-        raise DomainError(f"{name} must be in [1, {n_chunks}], got {value}")
-    return value
-
-
-def _check_n_chunks(n_chunks: int) -> int:
-    if isinstance(n_chunks, bool) or not isinstance(n_chunks, (int, np.integer)):
-        raise DomainError(f"n_chunks must be an integer, got {n_chunks!r}")
-    n_chunks = int(n_chunks)
-    if not 1 <= n_chunks <= MAX_CHUNKS:
-        raise DomainError(f"n_chunks must be in [1, {MAX_CHUNKS}], got {n_chunks}")
-    return n_chunks
+    """A user type, an integer in [1, n_chunks]."""
+    return _check_int(value, name, 1, n_chunks, error=DomainError)
 
 
 @dataclass(frozen=True)
@@ -117,7 +104,7 @@ def _overlap_counts(n: int, k: int, i: int, mode: AllocationMode) -> tuple[np.nd
 
 
 def _overlap_pmf(n_chunks: int, k: int, i: int, mode: AllocationMode) -> OverlapPmf:
-    n_chunks = _check_n_chunks(n_chunks)
+    n_chunks = _check_int(n_chunks, "n_chunks", 1, MAX_CHUNKS, error=DomainError)
     k = _check_type(n_chunks, k, "k")
     i = _check_type(n_chunks, i, "i")
     counts, total = _overlap_counts(n_chunks, k, i, mode)

@@ -12,7 +12,6 @@ Thresholds cross this layer in dB; the library itself works on linear scale.
 from __future__ import annotations
 
 import configparser
-import math
 import os
 import tempfile
 from dataclasses import dataclass, field, replace
@@ -33,7 +32,15 @@ from .metrics import (
     success_prob_k,
     success_prob_overall,
 )
-from .params import AllocationMode, BandwidthConfig, NetworkParams, PathLossModel
+from .params import (
+    AllocationMode,
+    BandwidthConfig,
+    NetworkParams,
+    PathLossModel,
+    _check_enum,
+    _check_int,
+    _check_real,
+)
 from .simulate import SimConfig, success_prob_curve
 
 
@@ -76,23 +83,14 @@ class SweepSpec:
     scale: str = "linear"
 
     def __post_init__(self) -> None:
-        try:
-            object.__setattr__(self, "variable", SweepVariable(self.variable))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        object.__setattr__(self, "start", float(self.start))
-        object.__setattr__(self, "stop", float(self.stop))
-        if isinstance(self.points, bool) or not isinstance(self.points, (int, np.integer)):
-            raise ConfigError("sweep points must be an integer")
-        object.__setattr__(self, "points", int(self.points))
-        if self.points < 1:
-            raise ConfigError("sweep must contain at least one point")
+        object.__setattr__(self, "variable", _check_enum(self.variable, SweepVariable))
+        for name in ("start", "stop"):
+            object.__setattr__(self, name, _check_real(getattr(self, name), f"sweep {name}"))
+        object.__setattr__(self, "points", _check_int(self.points, "sweep points", 1))
         if self.scale not in ("linear", "log"):
             raise ConfigError(f"sweep scale must be linear or log, got {self.scale!r}")
         if self.scale == "log" and (self.start <= 0.0 or self.stop <= 0.0):
             raise ConfigError("log sweeps need positive endpoints")
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
-            raise ConfigError("sweep endpoints must be finite")
 
     def values(self) -> np.ndarray:
         if self.points == 1:
@@ -131,18 +129,13 @@ class ExperimentSpec:
     output: str | None = None
 
     def __post_init__(self) -> None:
-        try:
-            object.__setattr__(self, "metric", Metric(self.metric))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        object.__setattr__(self, "metric", _check_enum(self.metric, Metric))
         if self.theta_db is not None:
-            object.__setattr__(self, "theta_db", float(self.theta_db))
-            if not math.isfinite(self.theta_db):
-                raise ConfigError(f"theta_db must be finite, got {self.theta_db!r}")
+            object.__setattr__(self, "theta_db", _check_real(self.theta_db, "theta_db"))
         if self.alt_type_probs is not None:
-            object.__setattr__(
-                self, "alt_type_probs", tuple(float(p) for p in self.alt_type_probs)
-            )
+            probs = self.alt_type_probs
+            probs = tuple(_check_real(p, "alt_type_probs", 0.0, closed=True) for p in probs)
+            object.__setattr__(self, "alt_type_probs", probs)
         if self.mean_model_metric not in _MEAN_MODEL_METRICS:
             raise ConfigError(
                 f"mean_model_metric must be one of {_MEAN_MODEL_METRICS}"

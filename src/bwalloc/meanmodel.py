@@ -17,7 +17,7 @@ from scipy.special import gamma as _gamma
 
 from .allocation import _check_type, window_overlap_table
 from .errors import DomainError
-from .params import BandwidthConfig, NetworkParams
+from .params import BandwidthConfig, NetworkParams, _check_real
 
 
 def mean_signal(net: NetworkParams, ba: BandwidthConfig) -> float:
@@ -80,9 +80,7 @@ def matched_intensity(
     """Intensity lambda' that gives the alternative mix (with power P') the
     same overall mean interference as the base network."""
     alt = _coerce_alt(ba, alt_probs)
-    alt_power = float(alt_power)
-    if not math.isfinite(alt_power) or alt_power <= 0.0:
-        raise DomainError(f"alt_power must be finite and > 0, got {alt_power}")
+    alt_power = _check_real(alt_power, "alt_power", 0.0, error=DomainError)
     base_sum = _mix_mean_overlap(ba)
     alt_sum = _mix_mean_overlap(alt)
     if alt_sum <= 0.0:
@@ -126,7 +124,7 @@ def match_mean_model(net: NetworkParams, ba: BandwidthConfig, alt_probs) -> Matc
 
 def _coerce_alt(ba: BandwidthConfig, alt_probs) -> BandwidthConfig:
     """Validate an alternative mix against the shared chunk count."""
-    probs = tuple(float(p) for p in alt_probs)
+    probs = tuple(alt_probs)
     if len(probs) != ba.n_chunks:
         raise DomainError(
             f"alternative mix has {len(probs)} entries, expected {ba.n_chunks}"

@@ -36,7 +36,7 @@ from scipy.special import betainc as _betainc
 
 from .allocation import _check_type, window_overlap_table
 from .errors import DomainError, IntegrationError, OscillatoryIntegrationError
-from .params import BandwidthConfig, NetworkParams
+from .params import BandwidthConfig, NetworkParams, _check_real
 
 #: Inversion grid: width of the u panels, Gauss-Legendre nodes per panel on
 #: the coarsest level, the |M(ju)| below which a panel ends the grid, the hard
@@ -58,17 +58,13 @@ _DEGENERATE_VAR = 1e-14
 
 
 def _check_x(x: float) -> float:
-    x = float(x)
-    if not math.isfinite(x) or not 0.0 <= x <= 1.0:
-        raise DomainError(f"reliability threshold x must be in [0, 1], got {x}")
-    return x
+    """A reliability threshold, in [0, 1]."""
+    return _check_real(x, "reliability threshold x", 0.0, 1.0, closed=True, error=DomainError)
 
 
 def _check_theta(theta: float) -> float:
-    theta = float(theta)
-    if not math.isfinite(theta) or theta <= 0.0:
-        raise DomainError(f"theta must be finite and > 0, got {theta}")
-    return theta
+    """An SIR threshold of the conditional success probability, finite and > 0."""
+    return _check_real(theta, "theta", 0.0, error=DomainError)
 
 
 @lru_cache(maxsize=None)
@@ -235,17 +231,23 @@ def _panel_rule(n: int, first: int, count: int) -> tuple[np.ndarray, np.ndarray]
     return u, np.tile(half * weights, count)
 
 
-@lru_cache(maxsize=64)
-def _profiles(net: NetworkParams, ba: BandwidthConfig, k: int, theta: float) -> tuple:
-    # parameter records are frozen, so one converged grid per overlap-table
-    # row serves all the moment orders and reliability thresholds; equal rows
-    # (contiguous windows s and n - k - s) share one profile
-    table = window_overlap_table(ba, k)
+def _per_distinct_row(table: np.ndarray, build) -> list:
+    """``build(q)`` for each row q of ``table``, evaluated once per distinct
+    row: contiguous windows s and n - k - s have equal rows."""
     built = {}
     for q in table:
         if q.tobytes() not in built:
-            built[q.tobytes()] = _RadialProfile(net, k, theta, q)
-    return tuple(built[q.tobytes()] for q in table)
+            built[q.tobytes()] = build(q)
+    return [built[q.tobytes()] for q in table]
+
+
+@lru_cache(maxsize=64)
+def _profiles(net: NetworkParams, ba: BandwidthConfig, k: int, theta: float) -> tuple:
+    # parameter records are frozen, so one converged grid per overlap-table
+    # row serves all the moment orders and reliability thresholds
+    return tuple(
+        _per_distinct_row(window_overlap_table(ba, k), lambda q: _RadialProfile(net, k, theta, q))
+    )
 
 
 def moment_b_k(
@@ -277,15 +279,15 @@ def moment_b_k(
         # 1 - (1 - h)^b without cancellation on the far tail
         return -math.expm1(b_real * math.log1p(-h)) * r * jac
 
-    moments = []
-    for q in window_overlap_table(ba, k):
+    def row_moment(q: np.ndarray) -> float:
         out = integrate.quad(
             integrand, 0.0, math.pi / 2.0, args=(q,), epsabs=1e-12, limit=200, full_output=1
         )
         if len(out) > 3:
             raise IntegrationError(f"moment quadrature failed: {out[3]}")
-        moments.append(np.exp(-2.0 * math.pi * net.intensity * out[0]))
-    return float(np.mean(moments))
+        return np.exp(-2.0 * math.pi * net.intensity * out[0])
+
+    return float(np.mean(_per_distinct_row(window_overlap_table(ba, k), row_moment)))
 
 
 def meta_ccdf_gilpelaez(

@@ -24,7 +24,7 @@ from scipy.special import gamma as _gamma
 
 from .allocation import _check_type, window_overlap_table
 from .errors import DomainError, IntegrationError
-from .params import BandwidthConfig, NetworkParams
+from .params import BandwidthConfig, NetworkParams, _check_real
 
 #: Throughput integrand below this level is treated as converged.
 _INTEGRAND_FLOOR = 1e-10
@@ -35,10 +35,9 @@ _ABS_TOL = 1e-8
 
 
 def _check_theta(theta: float) -> float:
-    theta = float(theta)
-    if not math.isfinite(theta) or theta < 0.0:
-        raise DomainError(f"theta must be finite and >= 0, got {theta}")
-    return theta
+    """An SIR threshold of a success probability, finite and >= 0: the rate
+    integral starts at theta = 0."""
+    return _check_real(theta, "theta", 0.0, closed=True, error=DomainError)
 
 
 def interference_constant(net: NetworkParams) -> float:

@@ -18,6 +18,45 @@ MAX_CHUNKS = 64
 PROB_TOL = 1e-12
 
 
+# Each input rule is written once, below. Records and config text raise
+# ConfigError (the default); library functions pass error=DomainError.
+
+
+def _check_int(value, name: str, lo: int, hi=math.inf, *, error=ConfigError) -> int:
+    """The integer ``value`` in [lo, hi] as an int; a bool, a non-integer or
+    a value out of range raises ``error``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if not lo <= value <= hi:
+        rule = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
+        raise error(f"{name} must be {rule}, got {value}")
+    return value
+
+
+def _check_real(
+    value, name: str, lo=-math.inf, hi=math.inf, *, closed=False, error=ConfigError
+) -> float:
+    """``value`` as a finite float above ``lo`` (or at it, when ``closed``)
+    and at most ``hi``; anything else raises ``error``."""
+    try:
+        value = float(value)
+    except (TypeError, ValueError):
+        raise error(f"{name} must be a real number, got {value!r}") from None
+    if not (math.isfinite(value) and lo <= value <= hi and (closed or value > lo)):
+        span = f"{'[' if closed else '('}{lo:g}, {hi:g}{')' if hi == math.inf else ']'}"
+        raise error(f"{name} must be finite and in {span}, got {value!r}")
+    return value
+
+
+def _check_enum(value, enum: type[Enum], *, error=ConfigError) -> Enum:
+    """The member of ``enum`` that ``value`` names; raises ``error`` if none does."""
+    try:
+        return enum(value)
+    except ValueError as exc:
+        raise error(str(exc)) from None
+
+
 class AllocationMode(str, Enum):
     """How a type-k user picks its k chunks out of the n available."""
 
@@ -41,32 +80,18 @@ class BandwidthConfig:
     power_per_chunk: float = 1.0
 
     def __post_init__(self) -> None:
-        if isinstance(self.n_chunks, bool) or not isinstance(self.n_chunks, (int, np.integer)):
-            raise ConfigError("n_chunks must be an integer")
-        object.__setattr__(self, "n_chunks", int(self.n_chunks))
-        if not 1 <= self.n_chunks <= MAX_CHUNKS:
-            raise ConfigError(
-                f"n_chunks must be in [1, {MAX_CHUNKS}], got {self.n_chunks}"
-            )
-        probs = tuple(float(p) for p in self.type_probs)
+        n = _check_int(self.n_chunks, "n_chunks", 1, MAX_CHUNKS)
+        object.__setattr__(self, "n_chunks", n)
+        probs = tuple(_check_real(p, "type_probs", 0.0, closed=True) for p in self.type_probs)
         object.__setattr__(self, "type_probs", probs)
-        if len(probs) != self.n_chunks:
-            raise ConfigError(
-                f"type_probs has {len(probs)} entries, expected n_chunks = {self.n_chunks}"
-            )
-        if any(not math.isfinite(p) or p < 0.0 for p in probs):
-            raise ConfigError("type_probs must be finite and nonnegative")
+        if len(probs) != n:
+            raise ConfigError(f"type_probs has {len(probs)} entries, expected n_chunks = {n}")
         total = math.fsum(probs)
         if abs(total - 1.0) > PROB_TOL:
             raise ConfigError(f"type_probs must sum to 1, got {total!r}")
-        try:
-            object.__setattr__(self, "mode", AllocationMode(self.mode))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        power = float(self.power_per_chunk)
+        object.__setattr__(self, "mode", _check_enum(self.mode, AllocationMode))
+        power = _check_real(self.power_per_chunk, "power_per_chunk", 0.0)
         object.__setattr__(self, "power_per_chunk", power)
-        if not math.isfinite(power) or power <= 0.0:
-            raise ConfigError("power_per_chunk must be finite and positive")
 
     @classmethod
     def uniform(
@@ -87,8 +112,7 @@ class BandwidthConfig:
         power_per_chunk: float = 1.0,
     ) -> "BandwidthConfig":
         """Every user is of type k (degenerate type mix)."""
-        if not 1 <= k <= n_chunks:
-            raise ConfigError(f"k must be in [1, {n_chunks}], got {k}")
+        k = _check_int(k, "k", 1, n_chunks)
         probs = [0.0] * n_chunks
         probs[k - 1] = 1.0
         return cls(n_chunks, tuple(probs), mode, power_per_chunk)
@@ -118,14 +142,8 @@ class PathLossModel:
     c0: float = 0.0
 
     def __post_init__(self) -> None:
-        alpha = float(self.alpha)
-        c0 = float(self.c0)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "c0", c0)
-        if not math.isfinite(alpha) or alpha <= 2.0:
-            raise ConfigError(f"alpha must be finite and > 2, got {alpha}")
-        if not math.isfinite(c0) or c0 < 0.0:
-            raise ConfigError(f"c0 must be finite and >= 0, got {c0}")
+        object.__setattr__(self, "alpha", _check_real(self.alpha, "alpha", 2.0))
+        object.__setattr__(self, "c0", _check_real(self.c0, "c0", 0.0, closed=True))
 
     @classmethod
     def power_law(cls, alpha: float) -> "PathLossModel":
@@ -133,9 +151,7 @@ class PathLossModel:
 
     @classmethod
     def bounded(cls, alpha: float, c0: float) -> "PathLossModel":
-        if c0 <= 0.0:
-            raise ConfigError("bounded path loss requires c0 > 0")
-        return cls(alpha, c0)
+        return cls(alpha, _check_real(c0, "bounded path loss c0", 0.0))
 
     @property
     def is_bounded(self) -> bool:
@@ -166,14 +182,8 @@ class NetworkParams:
     pathloss: PathLossModel
 
     def __post_init__(self) -> None:
-        intensity = float(self.intensity)
-        distance = float(self.link_distance)
-        object.__setattr__(self, "intensity", intensity)
-        object.__setattr__(self, "link_distance", distance)
-        if not math.isfinite(intensity) or intensity <= 0.0:
-            raise ConfigError(f"intensity must be finite and > 0, got {intensity}")
-        if not math.isfinite(distance) or distance <= 0.0:
-            raise ConfigError(f"link_distance must be finite and > 0, got {distance}")
+        for name in ("intensity", "link_distance"):
+            object.__setattr__(self, name, _check_real(getattr(self, name), name, 0.0))
         if not isinstance(self.pathloss, PathLossModel):
             raise ConfigError("pathloss must be a PathLossModel")
 

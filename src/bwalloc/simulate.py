@@ -37,8 +37,16 @@ from .allocation import (
     window_overlap_table,
 )
 from .errors import ConfigError, DomainError
-from .metadist import _check_theta, _interference_discount
-from .params import AllocationMode, BandwidthConfig, NetworkParams
+from .metadist import _check_theta, _check_x, _interference_discount
+from .metrics import _check_theta as _success_theta
+from .params import (
+    AllocationMode,
+    BandwidthConfig,
+    NetworkParams,
+    _check_enum,
+    _check_int,
+    _check_real,
+)
 
 #: Realized SIR used in place of an infinite one (zero interference) when
 #: averaging rates; the capped fraction is reported alongside the estimate.
@@ -54,15 +62,6 @@ class ConditionalMode(str, Enum):
 
     CLOSED_FORM_GIVEN_PHI = "closed_form_given_phi"  # average fading/chunks analytically
     FULLY_EMPIRICAL = "fully_empirical"              # redraw fading/chunks and count
-
-
-def _check_count(value, name: str, error: type[Exception]) -> int:
-    """A positive integer (bools rejected), raising ``error`` otherwise."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise error(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise error(f"{name} must be >= 1, got {value}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -83,23 +82,13 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         for name in ("n_realizations", "n_fading_draws"):
-            object.__setattr__(self, name, _check_count(getattr(self, name), name, ConfigError))
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
-            raise ConfigError("seed must be an integer")
-        object.__setattr__(self, "seed", int(self.seed))
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError("seed must fit in 64 bits")
+            object.__setattr__(self, name, _check_int(getattr(self, name), name, 1))
+        object.__setattr__(self, "seed", _check_int(self.seed, "seed", 0, 2**64 - 1))
         if self.window_radius is not None:
-            radius = float(self.window_radius)
+            radius = _check_real(self.window_radius, "window_radius", 0.0)
             object.__setattr__(self, "window_radius", radius)
-            if not math.isfinite(radius) or radius <= 0.0:
-                raise ConfigError("window_radius must be finite and > 0")
-        try:
-            object.__setattr__(
-                self, "conditional_mode", ConditionalMode(self.conditional_mode)
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        mode = _check_enum(self.conditional_mode, ConditionalMode)
+        object.__setattr__(self, "conditional_mode", mode)
 
 
 @dataclass(frozen=True)
@@ -343,11 +332,8 @@ def conditional_success_prob(
     """
     k = _check_type(ba.n_chunks, k, "k")
     theta = _check_theta(theta)
-    try:
-        mode = ConditionalMode(mode)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from None
-    n_fading_draws = _check_count(n_fading_draws, "n_fading_draws", DomainError)
+    mode = _check_enum(mode, ConditionalMode, error=DomainError)
+    n_fading_draws = _check_int(n_fading_draws, "n_fading_draws", 1, error=DomainError)
     dist = real.distances()
     start = real.typical_start if ba.mode is AllocationMode.CONTIGUOUS else 0
     if mode is ConditionalMode.CLOSED_FORM_GIVEN_PHI:
@@ -427,11 +413,9 @@ def success_prob_curve(
     """Empirical P(SIR > theta) on a threshold grid, sharing one realization
     set across all thresholds (common random numbers). ``k = None`` draws the
     typical type from the mix per realization."""
-    thetas = np.asarray(list(thetas), dtype=float)
+    thetas = np.array([_success_theta(theta) for theta in thetas], dtype=float)
     if thetas.size == 0:
         raise DomainError("thetas must be nonempty")
-    if np.any(~np.isfinite(thetas)) or np.any(thetas < 0.0):
-        raise DomainError("thetas must be finite and >= 0")
     signal_attenuation = net.signal_attenuation()
     hits = np.zeros(thetas.size, dtype=np.int64)
     for _, _, real in _realizations(net, ba, sim, k):
@@ -459,11 +443,9 @@ def estimate_meta_distribution(
     x_grid,
 ) -> list[EstimateWithCI]:
     """Empirical ccdf of the conditional success probability on ``x_grid``."""
-    x_grid = np.asarray(list(x_grid), dtype=float)
+    x_grid = np.array([_check_x(x) for x in x_grid], dtype=float)
     if x_grid.size == 0:
         raise DomainError("x_grid must be nonempty")
-    if np.any(~np.isfinite(x_grid)) or np.any(x_grid < 0.0) or np.any(x_grid > 1.0):
-        raise DomainError("x_grid values must lie in [0, 1]")
     counts = np.zeros(x_grid.size, dtype=np.int64)
     for rng, k_typ, real in _realizations(net, ba, sim, k):
         value = conditional_success_prob(

@@ -69,6 +69,23 @@ def test_mirror_rows_share_one_profile(monkeypatch):
     assert all(profiles[s] is profiles[9 - s] for s in range(10))
 
 
+def test_mirror_rows_share_one_moment_quadrature(monkeypatch):
+    # a real order runs one adaptive quadrature per distinct row: 5 for the
+    # 10 typical windows of n = 10, k = 1
+    calls = []
+    quad = metadist.integrate.quad
+
+    def counting_quad(*args, **kwargs):
+        calls.append(args)
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(metadist.integrate, "quad", counting_quad)
+    ba = BandwidthConfig.uniform(10, mode=AllocationMode.CONTIGUOUS, power_per_chunk=2.0)
+    m2 = moment_b_k(BOUNDED, ba, 1, THETA_MINUS5DB, 2.0)
+    assert len(calls) == 5
+    assert 0.0 < m2 < moment_b_k(BOUNDED, ba, 1, THETA_MINUS5DB, 1.0) < 1.0
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("theta", [0.1, 1.0, 10.0])
 def test_first_moment_equals_closed_form_power_law(k, theta):
