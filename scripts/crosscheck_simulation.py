@@ -36,12 +36,9 @@ LINE = "{:<34} {:>10} {:>10} {:>8} {:>6}"
 
 
 def _row(label: str, ana: float, est) -> None:
-    z = (est.value - ana) / max(est.std_error, 1e-12)
-    print(
-        LINE.format(
-            label, f"{ana:.4f}", f"{est.value:.4f}", f"{est.std_error:.4f}", f"{z:+.2f}"
-        )
-    )
+    # no hits or all hits give a zero standard error, and no z-score
+    z = f"{(est.value - ana) / est.std_error:+.2f}" if est.std_error > 0.0 else "n/a"
+    print(LINE.format(label, f"{ana:.4f}", f"{est.value:.4f}", f"{est.std_error:.4f}", z))
 
 
 def _table(net, ba, sim) -> None:

@@ -13,10 +13,10 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from .allocation import _check_type, window_overlap_table
 from .errors import DomainError
+from .metrics import _gamma_reflection
 from .params import BandwidthConfig, NetworkParams, _check_real
 
 
@@ -40,14 +40,9 @@ def _campbell_prefactor(net: NetworkParams) -> float:
             "mean interference requires the bounded path loss (c0 > 0); "
             "it diverges under the pure power law"
         )
+    # delta * Gamma(delta) * Gamma(1 - delta) = Gamma(1 + delta) * Gamma(1 - delta)
     d = pl.delta
-    return (
-        net.intensity
-        * math.pi
-        * d
-        * pl.c0 ** (d - 1.0)
-        * float(_gamma(d) * _gamma(1.0 - d))
-    )
+    return net.intensity * math.pi * pl.c0 ** (d - 1.0) * _gamma_reflection(d)
 
 
 def _mean_overlap(ba: BandwidthConfig, k: int) -> float:

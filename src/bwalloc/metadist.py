@@ -31,8 +31,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
-from scipy.special import betainc as _betainc
 
 from .allocation import _check_type, window_overlap_table
 from .errors import DomainError, IntegrationError, OscillatoryIntegrationError
@@ -53,8 +51,26 @@ _N_LEVELS = 3
 _BLOCK_ENTRIES = 1 << 17
 _PANELS_PER_STEP = 32
 
+#: Adaptive panel rule: Gauss-Legendre nodes per panel on the coarse level
+#: (the fine level has twice as many), the relative error budget (callers
+#: give the absolute one), the most live panels, and the most bisections of
+#: a starting panel.
+_ADAPTIVE_NODES = 10
+_REL_TOL = 1e-10
+_MAX_LIVE_PANELS = 1024
+_MAX_DEPTH = 256
+_MAX_PANEL_EVALS = _MAX_LIVE_PANELS * (_MAX_DEPTH + 1)
+
+#: Real-order moments: absolute tolerance of each row's radial integral.
+_MOMENT_TOL = 1e-12
+
 #: Variance below this is treated as a degenerate (point-mass) distribution.
 _DEGENERATE_VAR = 1e-14
+
+#: Beta fit: relative step at which the incomplete-beta continued fraction
+#: stops, and the most terms it may take.
+_BETA_CF_TOL = 1e-15
+_BETA_CF_TERMS = 10_000
 
 
 def _check_x(x: float) -> float:
@@ -76,8 +92,54 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+def _adaptive_gauss_legendre(f, edges, tol: float, what: str) -> float:
+    """Integral of f over [edges[0], edges[-1]] on composite Gauss-Legendre
+    panels, starting from the panels between consecutive ``edges``.
+
+    ``f`` maps an array of abscissas to an array of values. Each round
+    evaluates every live panel with n and 2n nodes in one call of ``f``. The
+    integral is the sum of the 2n-node values once the panels' level gaps
+    |I_2n - I_n| add up to at most the budget max(tol, _REL_TOL |integral|).
+    Otherwise a panel retires when its gap fits its share of the budget:
+    half of it split by width, plus half of it split evenly over the most
+    panels the rule can evaluate, so that a long chain of bisections toward
+    an endpoint singularity does not drag its neighbours along. Every other
+    live panel is bisected. Raises ``IntegrationError`` when the live panels
+    would exceed _MAX_LIVE_PANELS or the bisections _MAX_DEPTH.
+    """
+    n = _ADAPTIVE_NODES
+    coarse_x, coarse_w = _gauss_legendre(n)
+    fine_x, fine_w = _gauss_legendre(2 * n)
+    nodes = np.concatenate([coarse_x, fine_x])
+    edges = np.asarray(edges, dtype=float)
+    lo, hi = edges[:-1], edges[1:]
+    span = edges[-1] - edges[0]
+    done = done_gap = 0.0
+    for depth in range(_MAX_DEPTH + 1):
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        fx = f((mid[:, None] + half[:, None] * nodes).ravel()).reshape(lo.size, 3 * n)
+        fine = half * (fx[:, n:] @ fine_w)
+        gap = np.abs(fine - half * (fx[:, :n] @ coarse_w))
+        total = done + float(fine.sum())
+        budget = max(tol, _REL_TOL * abs(total))
+        live = gap > 0.5 * budget * ((hi - lo) / span + 1.0 / _MAX_PANEL_EVALS)
+        if done_gap + gap.sum() <= budget or not live.any():
+            return total
+        done += float(fine[~live].sum())
+        done_gap += float(gap[~live].sum())
+        if depth == _MAX_DEPTH or 2 * np.count_nonzero(live) > _MAX_LIVE_PANELS:
+            break
+        lo, mid, hi = lo[live], mid[live], hi[live]
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+    raise IntegrationError(
+        f"{what} did not converge: {np.count_nonzero(live)} panels still above their "
+        f"share of the tolerance after {depth} bisections"
+    )
+
+
 def _interference_discount(net, k, theta, r, q):
-    """h(r) = sum_{t>=1} q_t (1 - 1/(1 + theta (t/k) l(r)/l(R))), in [0, 1).
+    """h(r) = sum_{t>=1} q_t s_t / (1 + s_t), s_t = theta (t/k) l(r)/l(R), in [0, 1].
 
     The per-interferer factor of the conditional success probability is
     1 - h(r). Writing it through the discount keeps the far tail structurally
@@ -89,8 +151,9 @@ def _interference_discount(net, k, theta, r, q):
         np.asarray(net.pathloss.attenuation(r), dtype=float) / net.signal_attenuation()
     )
     scaled = theta * (ts / k)[:, None] * ratio[None, :]
-    # 1 - 1/(1+s) stays exact at s = inf (power law toward the origin)
-    frac = 1.0 - 1.0 / (1.0 + scaled)
+    # s / (1 + s) keeps its relative accuracy where s is tiny; it is 1 at
+    # s = inf (power law toward the origin)
+    frac = np.divide(scaled, 1.0 + scaled, out=np.ones_like(scaled), where=np.isfinite(scaled))
     return (q[1:, None] * frac).sum(axis=0)
 
 
@@ -272,20 +335,23 @@ def moment_b_k(
     b_real = b.real
     r_link = net.link_distance
 
-    def integrand(v: float, q: np.ndarray) -> float:
-        r = r_link * math.tan(v)
-        jac = r_link / math.cos(v) ** 2
-        h = float(_interference_discount(net, k, theta, r, q)[0])
-        # 1 - (1 - h)^b without cancellation on the far tail
-        return -math.expm1(b_real * math.log1p(-h)) * r * jac
-
     def row_moment(q: np.ndarray) -> float:
-        out = integrate.quad(
-            integrand, 0.0, math.pi / 2.0, args=(q,), epsabs=1e-12, limit=200, full_output=1
+        def integrand(w: np.ndarray) -> np.ndarray:
+            # r = R cot(w) = R tan(pi/2 - w): the far tail sits at w -> 0,
+            # where the nodes keep their full relative precision
+            r = r_link / np.tan(w)
+            jac = r_link / np.sin(w) ** 2
+            # rounding in q may put h a hair above 1 where it should reach 1
+            h = np.minimum(_interference_discount(net, k, theta, r, q), 1.0)
+            # 1 - (1 - h)^b without cancellation on the far tail; 1 where
+            # h = 1 (power law, q_0 = 0, toward the origin)
+            with np.errstate(divide="ignore"):
+                return -np.expm1(b_real * np.log1p(-h)) * r * jac
+
+        value = _adaptive_gauss_legendre(
+            integrand, (0.0, math.pi / 2.0), _MOMENT_TOL, "moment quadrature"
         )
-        if len(out) > 3:
-            raise IntegrationError(f"moment quadrature failed: {out[3]}")
-        return np.exp(-2.0 * math.pi * net.intensity * out[0])
+        return math.exp(-2.0 * math.pi * net.intensity * value)
 
     return float(np.mean(_per_distinct_row(window_overlap_table(ba, k), row_moment)))
 
@@ -342,7 +408,48 @@ def meta_ccdf_beta(
     except DomainError:
         m1 = float(moment_b_k(net, ba, k, theta, 1.0))
         return 1.0 if x < m1 else 0.0
-    return float(1.0 - _betainc(a, b, x))
+    return 1.0 - _regularized_beta(a, b, x)
+
+
+def _regularized_beta(a: float, b: float, x: float) -> float:
+    """I_x(a, b), the regularized incomplete beta function, by its continued
+    fraction (modified Lentz). The fraction converges fast for
+    x < (a + 1) / (a + b + 2); above that, I_x(a, b) = 1 - I_{1-x}(b, a)."""
+    if x <= 0.0:
+        return 0.0
+    if x >= 1.0:
+        return 1.0
+    if x > (a + 1.0) / (a + b + 2.0):
+        return 1.0 - _regularized_beta(b, a, 1.0 - x)
+    tiny = 1e-300
+
+    def step(c: float, d: float, coef: float) -> tuple[float, float]:
+        d = 1.0 + coef * d
+        c = 1.0 + coef / c
+        return (c if abs(c) > tiny else tiny), 1.0 / (d if abs(d) > tiny else tiny)
+
+    c = 1.0
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    frac = d
+    for m in range(1, _BETA_CF_TERMS):
+        c, d = step(c, d, m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)))
+        frac *= d * c
+        c, d = step(c, d, -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0)))
+        frac *= d * c
+        if abs(d * c - 1.0) < _BETA_CF_TOL:
+            log_front = (
+                a * math.log(x)
+                + b * math.log1p(-x)
+                + math.lgamma(a + b)
+                - math.lgamma(a)
+                - math.lgamma(b)
+            )
+            return math.exp(log_front) * frac / a
+    raise IntegrationError(
+        f"incomplete beta I_x(a, b) at a = {a:g}, b = {b:g}, x = {x:g}: continued "
+        f"fraction did not settle in {_BETA_CF_TERMS} terms"
+    )
 
 
 def meta_ccdf(

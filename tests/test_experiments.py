@@ -429,7 +429,7 @@ def test_figure_fig5_header(tmp_path):
 def test_figure_fig4_computes_each_rate_integral_once(tmp_path, monkeypatch):
     # 13 intensities x 3 types; every throughput column reads the same integrals
     calls = 0
-    quad = metrics.integrate.quad
+    quad = metrics._adaptive_gauss_legendre
 
     def counting_quad(*args, **kwargs):
         nonlocal calls
@@ -437,7 +437,7 @@ def test_figure_fig4_computes_each_rate_integral_once(tmp_path, monkeypatch):
         return quad(*args, **kwargs)
 
     metrics._rate_ccdf_quad.cache_clear()
-    monkeypatch.setattr(metrics.integrate, "quad", counting_quad)
+    monkeypatch.setattr(metrics, "_adaptive_gauss_legendre", counting_quad)
     run_figure("fig4", str(tmp_path / "fig4.csv"))
     assert calls == 39
 

@@ -73,13 +73,13 @@ def test_mirror_rows_share_one_moment_quadrature(monkeypatch):
     # a real order runs one adaptive quadrature per distinct row: 5 for the
     # 10 typical windows of n = 10, k = 1
     calls = []
-    quad = metadist.integrate.quad
+    quad = metadist._adaptive_gauss_legendre
 
     def counting_quad(*args, **kwargs):
         calls.append(args)
         return quad(*args, **kwargs)
 
-    monkeypatch.setattr(metadist.integrate, "quad", counting_quad)
+    monkeypatch.setattr(metadist, "_adaptive_gauss_legendre", counting_quad)
     ba = BandwidthConfig.uniform(10, mode=AllocationMode.CONTIGUOUS, power_per_chunk=2.0)
     m2 = moment_b_k(BOUNDED, ba, 1, THETA_MINUS5DB, 2.0)
     assert len(calls) == 5
@@ -173,6 +173,25 @@ def test_contiguous_moments_match_window_oracle(b):
     oracle = np.mean([_oracle_moment(BOUNDED, 1, 1.0, b, q) for q in _window_laws(3, 1)])
     got = moment_b_k(BOUNDED, CONTIGUOUS3, 1, 1.0, b)
     assert abs(got - oracle) < 1e-7
+
+
+def test_real_moment_at_zero_q0_power_law():
+    # k = n: every interferer shares a chunk (q_0 = 0), so under the power
+    # law the discount reaches 1 toward the origin
+    net = NetworkParams(0.01, 1.0, PathLossModel.power_law(6.0))
+    m1 = moment_b_k(net, UNIFORM3, 3, 0.1, 1.0)
+    assert abs(m1 - 0.98502601985164) < 1e-12
+    assert abs(m1 - success_prob_k(net, UNIFORM3, 3, 0.1)) < 1e-12
+
+
+@pytest.mark.parametrize("alpha", [4.0, 6.0])
+def test_real_moments_at_zero_q0_match_oracle(alpha):
+    net = NetworkParams(0.2, 1.0, PathLossModel.power_law(alpha))
+    m1 = moment_b_k(net, UNIFORM3, 3, 1.0, 1.0)
+    assert abs(m1 - success_prob_k(net, UNIFORM3, 3, 1.0)) < 1e-12
+    assert m1 == pytest.approx(_oracle_moment(net, 3, 1.0, 1.0).real, rel=1e-10)
+    m2 = moment_b_k(net, UNIFORM3, 3, 1.0, 2.0)
+    assert m2 == pytest.approx(_oracle_moment(net, 3, 1.0, 2.0).real, rel=1e-10)
 
 
 def test_moment_inequalities():

@@ -35,6 +35,9 @@ def test_crosscheck_prints_every_row_in_both_modes():
     out = _run("crosscheck_simulation.py", "--realizations", "50", "--seed", "1")
     # per mode: 12 success rows (3 thresholds for types 1-3 and the mix),
     # 3 reliability rows, 4 throughput rows and 4 mean-interference rows
-    rows = [line for line in out.splitlines() if re.search(r"[+-]\d+\.\d\d$", line)]
+    rows = [line for line in out.splitlines() if re.search(r"([+-]\d+\.\d\d|n/a)$", line)]
     assert len(rows) == 2 * 23
     assert "random allocation" in out and "contiguous allocation" in out
+    # a zero standard error prints n/a, never a huge z-score
+    z_scores = [float(row.split()[-1]) for row in rows if not row.endswith("n/a")]
+    assert all(abs(z) <= 1e3 for z in z_scores)
