@@ -2,8 +2,8 @@
 
 Closed-form distributions of the number of chunks shared between the typical
 user (type k) and an interferer (type i), for both allocation modes, plus the
-samplers the Monte Carlo engine builds on. Each mode's law is stated once, as
-integer counts of interferer chunk sets per typical chunk set
+type sampler the Monte Carlo engine builds on. Each mode's law is stated
+once, as integer counts of interferer chunk sets per typical chunk set
 (``_overlap_counts``). Everything else reads those counts: the exact
 rational pmfs, whose normalization and means are checked without drift; the
 law against an interferer of random type, collapsed once per (mix, k) into
@@ -166,19 +166,6 @@ def _window_overlap_table(config: BandwidthConfig, k: int) -> np.ndarray:
             table += counts * (p_i / total)
     table.flags.writeable = False
     return table
-
-
-def sample_chunk_set(
-    config: BandwidthConfig, k: int, rng: np.random.Generator
-) -> tuple[int, ...]:
-    """Draw the chunk set of a type-k user; 1-based sorted indices."""
-    k = _check_type(config.n_chunks, k, "k")
-    n = config.n_chunks
-    if config.mode is AllocationMode.RANDOM:
-        chosen = rng.choice(n, size=k, replace=False)
-        return tuple(sorted(int(c) + 1 for c in chosen))
-    start = int(rng.integers(0, n - k + 1))
-    return tuple(range(start + 1, start + k + 1))
 
 
 def sample_type(

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .allocation import _check_type, window_overlap_table
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .metrics import _gamma_reflection
 from .params import BandwidthConfig, NetworkParams, _check_real
 
@@ -118,10 +118,14 @@ def match_mean_model(net: NetworkParams, ba: BandwidthConfig, alt_probs) -> Matc
 
 
 def _coerce_alt(ba: BandwidthConfig, alt_probs) -> BandwidthConfig:
-    """Validate an alternative mix against the shared chunk count."""
+    """Validate an alternative mix against the shared chunk count; every
+    bad mix is a ``DomainError``, as for any other function argument."""
     probs = tuple(alt_probs)
     if len(probs) != ba.n_chunks:
         raise DomainError(
             f"alternative mix has {len(probs)} entries, expected {ba.n_chunks}"
         )
-    return replace(ba, type_probs=probs)
+    try:
+        return replace(ba, type_probs=probs)
+    except ConfigError as exc:
+        raise DomainError(f"alternative mix: {exc}") from None

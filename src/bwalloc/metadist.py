@@ -71,6 +71,8 @@ _DEGENERATE_VAR = 1e-14
 #: stops, and the most terms it may take.
 _BETA_CF_TOL = 1e-15
 _BETA_CF_TERMS = 10_000
+#: Both beta shapes at least this large take the Stirling front factor.
+_STIRLING_SHAPE = 30.0
 
 
 def _check_x(x: float) -> float:
@@ -438,18 +440,51 @@ def _regularized_beta(a: float, b: float, x: float) -> float:
         c, d = step(c, d, -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0)))
         frac *= d * c
         if abs(d * c - 1.0) < _BETA_CF_TOL:
-            log_front = (
-                a * math.log(x)
-                + b * math.log1p(-x)
-                + math.lgamma(a + b)
-                - math.lgamma(a)
-                - math.lgamma(b)
-            )
-            return math.exp(log_front) * frac / a
+            return math.exp(_log_beta_front(a, b, x)) * frac / a
     raise IntegrationError(
         f"incomplete beta I_x(a, b) at a = {a:g}, b = {b:g}, x = {x:g}: continued "
         f"fraction did not settle in {_BETA_CF_TERMS} terms"
     )
+
+
+def _log_beta_front(a: float, b: float, x: float) -> float:
+    """log(x^a (1 - x)^b / B(a, b)).
+
+    Below ``_STIRLING_SHAPE`` the log-gamma terms are summed as they are.
+    Above it they grow like a log a and cancel, so Stirling's series is
+    expanded around the mode x0 = a / (a + b): a log(x / x0)
+    + b log((1 - x) / (1 - x0)) + log(ab / (2 pi (a + b))) / 2 plus the
+    series' corrections.
+    """
+    if min(a, b) < _STIRLING_SHAPE:
+        log_x = a * math.log(x) + b * math.log1p(-x)
+        return log_x + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    n = a + b
+    x0 = a / n
+    d = x - x0
+    return (
+        a * _log_ratio(x, x0, d)
+        + b * _log_ratio(1.0 - x, 1.0 - x0, -d)
+        + 0.5 * math.log(a * b / (2.0 * math.pi * n))
+        + _stirling_correction(n)
+        - _stirling_correction(a)
+        - _stirling_correction(b)
+    )
+
+
+def _log_ratio(y: float, y0: float, dy: float) -> float:
+    """log(y / y0) given dy = y - y0: log1p(dy / y0) near y0, where dy is
+    exact and the rounding of y0 cancels between the two terms of
+    ``_log_beta_front``; the plain ratio further out, where dy has lost y's
+    low digits."""
+    return math.log1p(dy / y0) if abs(dy) < 0.5 * y0 else math.log(y / y0)
+
+
+def _stirling_correction(z: float) -> float:
+    """lgamma(z) - ((z - 1/2) log z - z + log(2 pi) / 2), to four terms;
+    the first omitted term is below 1e-16 for z >= ``_STIRLING_SHAPE``."""
+    w = 1.0 / (z * z)
+    return (1.0 / 12.0 - w * (1.0 / 360.0 - w * (1.0 / 1260.0 - w / 1680.0))) / z
 
 
 def meta_ccdf(

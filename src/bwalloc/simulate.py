@@ -9,15 +9,13 @@ interference directly.
 Every estimator is a statistic over one realization loop. SIR depends on an
 interferer's chunk set only through the number of chunks it shares with the
 typical user, so the loop draws those counts directly and never builds chunk
-sets. Realization idx draws everything from ``realization_rng(seed, idx)``,
-in a fixed order: the typical type (only when it is drawn from the mix), the
-interferer count, their distances, their types, the typical window start
-(contiguous mode only), their shared-chunk counts, the fading of the
-interferers that share a chunk, the typical fading, then what the statistic
-draws itself. Estimates are therefore bit-reproducible and
-independent of any execution order. ``sample_realization`` is the reference
-sampler: it draws positions and full chunk sets, and its distances equal the
-loop's at the same (seed, idx).
+sets or positions. Realization idx draws everything from
+``realization_rng(seed, idx)``, in a fixed order: the typical type (only when
+it is drawn from the mix), the interferer count, their distances, their
+types, the typical window start (contiguous mode only), their shared-chunk
+counts, the fading of the interferers that share a chunk, the typical fading,
+then what the statistic draws itself. Estimates are therefore
+bit-reproducible and independent of any execution order.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ import numpy as np
 from .allocation import (
     _check_type,
     _overlap_counts,
-    sample_chunk_set,
     sample_type,
     window_overlap_table,
 )
@@ -111,48 +108,10 @@ class EstimateWithCI:
 
 @dataclass(frozen=True)
 class NetworkRealization:
-    """One sampled interferer pattern plus the typical link.
-
-    The typical transmitter sits at (R, 0); the receiver is the origin.
-    ``occupancy`` is the boolean interferer-by-chunk matrix. This is the
-    reference sampler's record; the realization loop of the estimators
-    samples only what SIR reads (see ``_SampledNetwork``).
-    """
-
-    positions: np.ndarray
-    types: np.ndarray
-    occupancy: np.ndarray
-    fading: np.ndarray
-    typical_type: int
-    typical_occupancy: np.ndarray
-    typical_fading: float
-    link_distance: float
-    window_radius: float
-
-    @property
-    def n_interferers(self) -> int:
-        return self.positions.shape[0]
-
-    @property
-    def typical_start(self) -> int:
-        """0-based first chunk of the typical user; its window start in
-        contiguous mode."""
-        return int(np.argmax(self.typical_occupancy))
-
-    def distances(self) -> np.ndarray:
-        return np.hypot(self.positions[:, 0], self.positions[:, 1])
-
-    def overlaps(self) -> np.ndarray:
-        """Shared-chunk count of each interferer with the typical user."""
-        return self.occupancy[:, self.typical_occupancy].sum(axis=1)
-
-
-@dataclass(frozen=True)
-class _SampledNetwork:
-    """What the realization loop samples of one network, with the read
-    interface of ``NetworkRealization``: each interferer's distance and
-    shared-chunk count, its fading, which is 0 where the count is 0, and the
-    typical window start (0 in random mode)."""
+    """One sampled network as the estimators read it: each interferer's
+    distance from the typical receiver and shared-chunk count with the
+    typical user, its fading, which is 0 where the count is 0, the typical
+    user's type and fading, and its window start (0 in random mode)."""
 
     distance: np.ndarray
     overlap: np.ndarray
@@ -160,12 +119,6 @@ class _SampledNetwork:
     typical_type: int
     typical_fading: float
     typical_start: int
-
-    def distances(self) -> np.ndarray:
-        return self.distance
-
-    def overlaps(self) -> np.ndarray:
-        return self.overlap
 
 
 def realization_rng(seed: int, index: int) -> np.random.Generator:
@@ -188,61 +141,6 @@ def _window(net: NetworkParams, sim: SimConfig) -> float:
 def _window_starts(n_chunks: int, types: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """0-based start of a uniformly placed window for each user."""
     return (rng.random(types.shape) * (n_chunks - types + 1)).astype(np.int64)
-
-
-def _sample_occupancy(
-    ba: BandwidthConfig, types: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    n = types.shape[0]
-    n_chunks = ba.n_chunks
-    if ba.mode is AllocationMode.RANDOM:
-        # rank trick: a uniform random matrix argsorted per row gives a
-        # uniform random permutation; keeping ranks below the type yields a
-        # uniform k-subset
-        order = np.argsort(rng.random((n, n_chunks)), axis=1)
-        ranks = np.empty_like(order)
-        np.put_along_axis(
-            ranks, order, np.broadcast_to(np.arange(n_chunks), (n, n_chunks)).copy(), axis=1
-        )
-        return ranks < types[:, None]
-    starts = _window_starts(n_chunks, types, rng)
-    cols = np.arange(n_chunks)
-    return (cols >= starts[:, None]) & (cols < (starts + types)[:, None])
-
-
-def sample_realization(
-    net: NetworkParams,
-    ba: BandwidthConfig,
-    sim: SimConfig,
-    k_typical: int,
-    rng: np.random.Generator,
-) -> NetworkRealization:
-    """Draw one network: Poisson interferer count in the window disk, uniform
-    positions, independent types, chunk sets, and unit-mean fading. The
-    typical link is added on top, never drawn from the interferer process."""
-    k_typical = _check_type(ba.n_chunks, k_typical, "k_typical")
-    radius = _window(net, sim)
-    n = int(rng.poisson(net.intensity * math.pi * radius * radius))
-    rr = radius * np.sqrt(rng.random(n))
-    ang = 2.0 * math.pi * rng.random(n)
-    positions = np.column_stack((rr * np.cos(ang), rr * np.sin(ang)))
-    types = sample_type(ba, rng, n)
-    occupancy = _sample_occupancy(ba, types, rng)
-    fading = rng.exponential(1.0, n)
-    typical_occupancy = np.zeros(ba.n_chunks, dtype=bool)
-    typical_occupancy[np.array(sample_chunk_set(ba, k_typical, rng)) - 1] = True
-    typical_fading = float(rng.exponential(1.0))
-    return NetworkRealization(
-        positions=positions,
-        types=types,
-        occupancy=occupancy,
-        fading=fading,
-        typical_type=k_typical,
-        typical_occupancy=typical_occupancy,
-        typical_fading=typical_fading,
-        link_distance=net.link_distance,
-        window_radius=radius,
-    )
 
 
 @lru_cache(maxsize=None)
@@ -294,8 +192,8 @@ def _fading_where_shared(overlaps: np.ndarray, rng: np.random.Generator) -> np.n
 
 def _interference(real: NetworkRealization, net: NetworkParams) -> float:
     """Interference at the typical receiver, in units of the per-chunk power."""
-    attenuation = net.pathloss.attenuation(real.distances())
-    return float(np.sum(real.overlaps() * real.fading * attenuation))
+    attenuation = net.pathloss.attenuation(real.distance)
+    return float(np.sum(real.overlap * real.fading * attenuation))
 
 
 def _sir(real: NetworkRealization, net: NetworkParams, signal_attenuation: float) -> float:
@@ -304,12 +202,6 @@ def _sir(real: NetworkRealization, net: NetworkParams, signal_attenuation: float
     if interference == 0.0:
         return math.inf
     return signal / interference
-
-
-def sir_of_realization(real: NetworkRealization, net: NetworkParams) -> float:
-    """Realized SIR of the typical link; infinite when nothing interferes on
-    the typical user's chunks."""
-    return _sir(real, net, net.signal_attenuation())
 
 
 def conditional_success_prob(
@@ -334,7 +226,7 @@ def conditional_success_prob(
     theta = _check_theta(theta)
     mode = _check_enum(mode, ConditionalMode, error=DomainError)
     n_fading_draws = _check_int(n_fading_draws, "n_fading_draws", 1, error=DomainError)
-    dist = real.distances()
+    dist = real.distance
     start = real.typical_start if ba.mode is AllocationMode.CONTIGUOUS else 0
     if mode is ConditionalMode.CLOSED_FORM_GIVEN_PHI:
         if dist.size == 0:
@@ -368,12 +260,9 @@ def conditional_success_prob(
 
 
 def _realizations(net: NetworkParams, ba: BandwidthConfig, sim: SimConfig, k: int | None):
-    """Yield (generator, typical type, sampled network) for every index of
-    ``sim``; a statistic may keep drawing from the generator.
-
-    The count and the distances are drawn exactly as ``sample_realization``
-    draws them, so the distances match it; no angles are drawn.
-    """
+    """Yield (generator, sampled network) for every index of ``sim``; a
+    statistic may keep drawing from the generator. The distances are
+    uniform in the disk, drawn as radius * sqrt(U); no angles are drawn."""
     if k is not None:
         k = _check_type(ba.n_chunks, k, "k")
     radius = _window(net, sim)
@@ -389,7 +278,7 @@ def _realizations(net: NetworkParams, ba: BandwidthConfig, sim: SimConfig, k: in
         overlap = _sample_overlaps(ba, k_typ, types, rng, start)
         fading = _fading_where_shared(overlap, rng)
         typical_fading = float(rng.exponential(1.0))
-        yield rng, k_typ, _SampledNetwork(distance, overlap, fading, k_typ, typical_fading, start)
+        yield rng, NetworkRealization(distance, overlap, fading, k_typ, typical_fading, start)
 
 
 def _binomial_estimate(hits: int, n: int) -> EstimateWithCI:
@@ -418,7 +307,7 @@ def success_prob_curve(
         raise DomainError("thetas must be nonempty")
     signal_attenuation = net.signal_attenuation()
     hits = np.zeros(thetas.size, dtype=np.int64)
-    for _, _, real in _realizations(net, ba, sim, k):
+    for _, real in _realizations(net, ba, sim, k):
         hits += _sir(real, net, signal_attenuation) > thetas
     return [_binomial_estimate(int(h), sim.n_realizations) for h in hits]
 
@@ -447,12 +336,12 @@ def estimate_meta_distribution(
     if x_grid.size == 0:
         raise DomainError("x_grid must be nonempty")
     counts = np.zeros(x_grid.size, dtype=np.int64)
-    for rng, k_typ, real in _realizations(net, ba, sim, k):
+    for rng, real in _realizations(net, ba, sim, k):
         value = conditional_success_prob(
             real,
             net,
             ba,
-            k_typ,
+            real.typical_type,
             theta,
             mode=sim.conditional_mode,
             n_fading_draws=sim.n_fading_draws,
@@ -473,12 +362,12 @@ def estimate_throughput(
     signal_attenuation = net.signal_attenuation()
     values = np.empty(sim.n_realizations)
     n_capped = 0
-    for idx, (_, k_typ, real) in enumerate(_realizations(net, ba, sim, k)):
+    for idx, (_, real) in enumerate(_realizations(net, ba, sim, k)):
         sir = _sir(real, net, signal_attenuation)
         if not math.isfinite(sir) or sir > SIR_CAP:
             sir = SIR_CAP
             n_capped += 1
-        values[idx] = (k_typ / ba.n_chunks) * math.log2(1.0 + sir)
+        values[idx] = (real.typical_type / ba.n_chunks) * math.log2(1.0 + sir)
     return _mean_estimate(values, n_capped)
 
 
@@ -491,6 +380,6 @@ def estimate_mean_interference(
     """Empirical mean interference power at a type-k receiver, with the
     per-chunk power reinstated."""
     values = np.array(
-        [_interference(real, net) for _, _, real in _realizations(net, ba, sim, k)]
+        [_interference(real, net) for _, real in _realizations(net, ba, sim, k)]
     )
     return _mean_estimate(ba.power_per_chunk * values)

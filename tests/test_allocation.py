@@ -19,12 +19,13 @@ from bwalloc.allocation import (
     overlap_pmf,
     overlap_pmf_contiguous,
     overlap_pmf_random,
-    sample_chunk_set,
     sample_type,
     window_overlap_table,
 )
 from bwalloc.errors import ConfigError, DomainError
 from bwalloc.params import MAX_CHUNKS, AllocationMode, BandwidthConfig
+
+from reference_sampler import sample_chunk_set
 
 
 # ---------------------------------------------------------------------------

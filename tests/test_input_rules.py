@@ -14,23 +14,22 @@ import pytest
 from bwalloc.allocation import overlap_pmf, overlap_pmf_random
 from bwalloc.errors import ConfigError, DomainError
 from bwalloc.experiments import ExperimentSpec, Metric, SweepSpec, SweepVariable
-from bwalloc.meanmodel import matched_intensity
+from bwalloc.meanmodel import match_mean_model, matched_intensity, matched_power
 from bwalloc.metadist import meta_ccdf, moment_b_k
 from bwalloc.metrics import success_prob_k, success_prob_overall
 from bwalloc.params import AllocationMode, BandwidthConfig, NetworkParams, PathLossModel
 from bwalloc.simulate import (
     SimConfig,
     conditional_success_prob,
+    _realizations,
     estimate_meta_distribution,
-    realization_rng,
-    sample_realization,
     success_prob_curve,
 )
 
 NET = NetworkParams(0.2, 1.0, PathLossModel.bounded(4.0, 1.0))
 BA = BandwidthConfig.uniform(3)
 SIM = SimConfig(n_realizations=1)
-REAL = sample_realization(NET, BA, SIM, 1, realization_rng(0, 0))
+((_, REAL),) = _realizations(NET, BA, SIM, 1)
 THETA_SWEEP = SweepSpec(SweepVariable.THETA_DB, -10.0, 10.0, 5)
 X_SWEEP = SweepSpec(SweepVariable.X, 0.1, 0.9, 5)
 
@@ -130,6 +129,25 @@ REAL_RULE = [
         lambda v: matched_intensity(NET, BA, BA.type_probs, v),
         DomainError,
         [0.0],
+    ),
+    # an alternative mix is a function argument; 0.6 makes it sum to 1.6
+    (
+        "matched_power.alt_probs",
+        lambda v: matched_power(BA, (0.5, v, 0.5)),
+        DomainError,
+        [-1e-9, 0.6],
+    ),
+    (
+        "matched_intensity.alt_probs",
+        lambda v: matched_intensity(NET, BA, (0.5, v, 0.5), 1.0),
+        DomainError,
+        [-1e-9, 0.6],
+    ),
+    (
+        "match_mean_model.alt_probs",
+        lambda v: match_mean_model(NET, BA, (0.5, v, 0.5)),
+        DomainError,
+        [-1e-9, 0.6],
     ),
 ]
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bwalloc.allocation import overlap_pmf, overlap_pmf_contiguous, overlap_pmf_random
-from bwalloc.errors import ConfigError, DomainError
+from bwalloc.errors import DomainError
 from bwalloc.meanmodel import (
     match_mean_model,
     matched_intensity,
@@ -224,7 +224,7 @@ def test_contiguous_mix_sums_match_exact_oracle(n):
 def test_alt_mix_validation():
     with pytest.raises(DomainError):
         matched_power(UNIFORM3, (0.5, 0.5))
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         matched_power(UNIFORM3, (0.5, 0.2, 0.1))
     with pytest.raises(DomainError):
         matched_intensity(BOUNDED, UNIFORM3, ALT_PROBS, 0.0)

@@ -15,7 +15,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from bwalloc import metadist, metrics
 from bwalloc.cli import main
@@ -67,6 +67,18 @@ def test_regularized_beta_matches_mpmath(a):
     for b, x in itertools.product(BETA_SHAPES, BETA_XS):
         got = metadist._regularized_beta(a, b, x)
         assert abs(got - _beta_oracle(a, b, x)) <= 1e-10, (a, b, x)
+
+
+@pytest.mark.parametrize("a, b", [(1e5, 1e5), (1e7, 1e7), (1e6, 2e5)])
+def test_regularized_beta_at_large_shapes(a, b):
+    # log-gamma terms of size a log a cancel in the front factor here; within
+    # three standard deviations of the mode the value is far from 0 and 1
+    mode = a / (a + b)
+    sd = math.sqrt(a * b / (a + b) ** 3)
+    for z in (-3.0, -1.0, -0.3, 0.0, 0.3, 1.0, 3.0):
+        x = mode + z * sd
+        got = metadist._regularized_beta(a, b, x)
+        assert abs(got - special.betainc(a, b, x)) <= 1e-12, (a, b, z)
 
 
 def test_regularized_beta_endpoints_and_symmetry():

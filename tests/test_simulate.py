@@ -39,6 +39,7 @@ from bwalloc.simulate import (
     _overlap_cdf,
     _realizations,
     _sample_overlaps,
+    _sir,
     _window_starts,
     conditional_success_prob,
     estimate_mean_interference,
@@ -46,36 +47,31 @@ from bwalloc.simulate import (
     estimate_success_prob,
     estimate_throughput,
     realization_rng,
-    sample_realization,
-    sir_of_realization,
     success_prob_curve,
 )
+
+from reference_sampler import sample_realization
 
 BOUNDED = NetworkParams(0.2, 1.0, PathLossModel.bounded(4.0, 1.0))
 UNIFORM3 = BandwidthConfig.uniform(3, power_per_chunk=2.0)
 CONTIGUOUS10 = BandwidthConfig.uniform(10, mode=AllocationMode.CONTIGUOUS, power_per_chunk=2.0)
 
 
-def _manual_realization(positions, overlaps, fading, k, h0, n_chunks=3):
-    """Build a realization with hand-picked occupancies for algebra checks."""
-    positions = np.asarray(positions, dtype=float).reshape(-1, 2)
-    n = positions.shape[0]
-    occupancy = np.zeros((n, n_chunks), dtype=bool)
-    typical = np.zeros(n_chunks, dtype=bool)
-    typical[:k] = True
-    for j, t in enumerate(overlaps):
-        occupancy[j, :t] = True  # first t chunks overlap the typical set
+def _manual_realization(distances, overlaps, fading, k, h0):
+    """Build a realization with hand-picked shared-chunk counts for algebra
+    checks; the typical window starts at chunk 0."""
     return NetworkRealization(
-        positions=positions,
-        types=np.asarray([max(t, 1) for t in overlaps], dtype=np.int64),
-        occupancy=occupancy,
+        distance=np.asarray(distances, dtype=float),
+        overlap=np.asarray(overlaps, dtype=np.int64),
         fading=np.asarray(fading, dtype=float),
         typical_type=k,
-        typical_occupancy=typical,
         typical_fading=h0,
-        link_distance=1.0,
-        window_radius=50.0,
+        typical_start=0,
     )
+
+
+def _sir_of(real, net):
+    return _sir(real, net, net.signal_attenuation())
 
 
 # ---------------------------------------------------------------------------
@@ -90,19 +86,16 @@ def test_determinism_same_seed():
 
 
 def test_realizations_differ_across_indices():
-    sim = SimConfig(seed=3)
-    r0 = sample_realization(BOUNDED, UNIFORM3, sim, 1, realization_rng(3, 0))
-    r1 = sample_realization(BOUNDED, UNIFORM3, sim, 1, realization_rng(3, 1))
-    assert r0.n_interferers != r1.n_interferers or not np.array_equal(r0.positions, r1.positions)
+    sim = SimConfig(n_realizations=2, seed=3)
+    r0, r1 = [real for _, real in _realizations(BOUNDED, UNIFORM3, sim, 1)]
+    assert r0.distance.size != r1.distance.size or not np.array_equal(r0.distance, r1.distance)
 
 
 def test_interferer_count_is_poisson():
-    sim = SimConfig(seed=5, window_radius=20.0)
+    # the loop draws the count first whenever the typical type is given
+    sim = SimConfig(n_realizations=3000, seed=5, window_radius=20.0)
     mean_target = 0.2 * math.pi * 20.0**2
-    counts = [
-        sample_realization(BOUNDED, UNIFORM3, sim, 1, realization_rng(5, i)).n_interferers
-        for i in range(3000)
-    ]
+    counts = [real.distance.size for _, real in _realizations(BOUNDED, UNIFORM3, sim, 1)]
     se = math.sqrt(mean_target / len(counts))
     assert abs(np.mean(counts) - mean_target) < 3 * se
 
@@ -136,16 +129,16 @@ def test_occupancy_matches_types_and_mode():
 
 def test_near_empty_network():
     tiny = NetworkParams(1e-9, 1.0, PathLossModel.bounded(4.0, 1.0))
-    sim = SimConfig(seed=1)
-    real = sample_realization(tiny, UNIFORM3, sim, 1, realization_rng(1, 0))
-    assert real.n_interferers == 0
-    assert sir_of_realization(real, tiny) == math.inf
+    sim = SimConfig(n_realizations=1, seed=1)
+    ((_, real),) = _realizations(tiny, UNIFORM3, sim, 1)
+    assert real.distance.size == 0
+    assert _sir_of(real, tiny) == math.inf
 
 
 def test_window_validation():
     sim = SimConfig(seed=1, window_radius=5.0)
     with pytest.raises(DomainError):
-        sample_realization(BOUNDED, UNIFORM3, sim, 1, realization_rng(1, 0))
+        success_prob_curve(BOUNDED, UNIFORM3, sim, 1, [1.0])
 
 
 def test_sim_config_validation():
@@ -242,15 +235,16 @@ def test_contiguous_overlap_draw_conditions_on_the_typical_window(n):
 def test_loop_distances_match_the_reference_sampler(k):
     ba = BandwidthConfig(3, (0.5, 0.2, 0.3), mode=AllocationMode.CONTIGUOUS)
     sim = SimConfig(n_realizations=30, seed=13, window_radius=20.0)
-    for idx, (_, k_typ, real) in enumerate(_realizations(BOUNDED, ba, sim, k)):
+    for idx, (_, real) in enumerate(_realizations(BOUNDED, ba, sim, k)):
+        k_typ = real.typical_type
         rng = realization_rng(13, idx)
         if k is None:
             assert sample_type(ba, rng) == k_typ
         ref = sample_realization(BOUNDED, ba, sim, k_typ, rng)
-        np.testing.assert_allclose(real.distances(), ref.distances(), rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(real.distance, ref.distances(), rtol=1e-12, atol=0.0)
         # only interferers sharing a chunk draw fading
-        assert np.array_equal(real.fading > 0.0, real.overlaps() > 0)
-        assert real.overlaps().max(initial=0) <= k_typ
+        assert np.array_equal(real.fading > 0.0, real.overlap > 0)
+        assert real.overlap.max(initial=0) <= k_typ
 
 
 # ---------------------------------------------------------------------------
@@ -258,21 +252,21 @@ def test_loop_distances_match_the_reference_sampler(k):
 
 
 def test_sir_zero_interferers_is_infinite():
-    real = _manual_realization(np.empty((0, 2)), [], [], k=2, h0=1.0)
-    assert sir_of_realization(real, BOUNDED) == math.inf
+    real = _manual_realization([], [], [], k=2, h0=1.0)
+    assert _sir_of(real, BOUNDED) == math.inf
 
 
 def test_sir_disjoint_chunks_is_infinite():
-    real = _manual_realization([(2.0, 0.0)], [0], [1.0], k=1, h0=1.0)
-    assert sir_of_realization(real, BOUNDED) == math.inf
+    real = _manual_realization([2.0], [0], [1.0], k=1, h0=1.0)
+    assert _sir_of(real, BOUNDED) == math.inf
 
 
 def test_sir_single_full_overlap_cancels_type():
     # unit fading, overlap t = k: SIR reduces to l(R) / l(d)
     d = 3.0
-    real = _manual_realization([(d, 0.0)], [2], [1.0], k=2, h0=1.0)
+    real = _manual_realization([d], [2], [1.0], k=2, h0=1.0)
     expected = (1.0 / 2.0) / (1.0 / (1.0 + d**4))
-    assert sir_of_realization(real, BOUNDED) == pytest.approx(expected / 1.0, rel=1e-12)
+    assert _sir_of(real, BOUNDED) == pytest.approx(expected / 1.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -280,13 +274,13 @@ def test_sir_single_full_overlap_cancels_type():
 
 
 def test_conditional_empty_pattern_is_one():
-    real = _manual_realization(np.empty((0, 2)), [], [], k=1, h0=1.0)
+    real = _manual_realization([], [], [], k=1, h0=1.0)
     assert conditional_success_prob(real, BOUNDED, UNIFORM3, 1, 1.0) == 1.0
 
 
 def test_conditional_single_interferer_hand_formula():
     d, theta, k = 2.0, 1.0, 1
-    real = _manual_realization([(d, 0.0)], [1], [1.0], k=k, h0=1.0)
+    real = _manual_realization([d], [1], [1.0], k=k, h0=1.0)
     got = conditional_success_prob(real, BOUNDED, UNIFORM3, k, theta)
     ratio = (1.0 / (1.0 + d**4)) / 0.5
     expected = 0.0
@@ -306,11 +300,7 @@ def test_conditional_closed_form_reads_the_typical_window():
     ratio = (1.0 / (1.0 + d**4)) / 0.5
     values = []
     for s in range(3):
-        real = _manual_realization([(d, 0.0)], [1], [1.0], k=1, h0=1.0)
-        typical = np.zeros(3, dtype=bool)
-        typical[s] = True
-        real = replace(real, typical_occupancy=typical)
-        assert real.typical_start == s
+        real = replace(_manual_realization([d], [1], [1.0], k=1, h0=1.0), typical_start=s)
         expected = sum(
             (1 / 3) * mass / (1.0 + theta * t * ratio)
             for i in (1, 2, 3)
@@ -322,9 +312,9 @@ def test_conditional_closed_form_reads_the_typical_window():
 
 
 def test_conditional_modes_agree():
-    sim = SimConfig(seed=29, window_radius=25.0)
-    rng = realization_rng(29, 4)
-    real = sample_realization(BOUNDED, UNIFORM3, sim, 2, rng)
+    # the fifth network of the loop, at realization_rng(29, 4)
+    sim = SimConfig(n_realizations=5, seed=29, window_radius=25.0)
+    *_, (_, real) = _realizations(BOUNDED, UNIFORM3, sim, 2)
     closed = conditional_success_prob(real, BOUNDED, UNIFORM3, 2, 1.0)
     n_draws = 4000
     empirical = conditional_success_prob(
@@ -344,13 +334,14 @@ def test_conditional_modes_agree():
 def test_conditional_tower_property():
     # averaging the conditional values over patterns recovers the success
     # probability
-    sim = SimConfig(seed=31)
-    n_real = 3000
-    vals = np.empty(n_real)
-    for idx in range(n_real):
-        rng = realization_rng(31, idx)
-        real = sample_realization(BOUNDED, UNIFORM3, sim, 1, rng)
-        vals[idx] = conditional_success_prob(real, BOUNDED, UNIFORM3, 1, 1.0)
+    sim = SimConfig(n_realizations=3000, seed=31)
+    n_real = sim.n_realizations
+    vals = np.array(
+        [
+            conditional_success_prob(real, BOUNDED, UNIFORM3, 1, 1.0)
+            for _, real in _realizations(BOUNDED, UNIFORM3, sim, 1)
+        ]
+    )
     se = vals.std(ddof=1) / math.sqrt(n_real)
     assert abs(vals.mean() - success_prob_k(BOUNDED, UNIFORM3, 1, 1.0)) < 3 * se
 
@@ -363,7 +354,7 @@ def test_conditional_tower_property_contiguous():
     vals = np.array(
         [
             conditional_success_prob(real, BOUNDED, CONTIGUOUS10, 1, 10.0)
-            for _, _, real in _realizations(BOUNDED, CONTIGUOUS10, sim, 1)
+            for _, real in _realizations(BOUNDED, CONTIGUOUS10, sim, 1)
         ]
     )
     se = vals.std(ddof=1) / math.sqrt(vals.size)
@@ -371,7 +362,7 @@ def test_conditional_tower_property_contiguous():
 
 
 def test_conditional_requires_rng_for_empirical():
-    real = _manual_realization([(2.0, 0.0)], [1], [1.0], k=1, h0=1.0)
+    real = _manual_realization([2.0], [1], [1.0], k=1, h0=1.0)
     with pytest.raises(DomainError):
         conditional_success_prob(
             real, BOUNDED, UNIFORM3, 1, 1.0, mode=ConditionalMode.FULLY_EMPIRICAL
