@@ -168,6 +168,49 @@ def _window_overlap_table(config: BandwidthConfig, k: int) -> np.ndarray:
     return table
 
 
+#: Buckets of every inverse-CDF guide table; a power of two, so that u * M
+#: is exact and below M for every double u < 1.
+_TABLE_BUCKETS = 2**12
+
+
+def _bucket_table(cdf: np.ndarray) -> np.ndarray:
+    """Guide table of each nondecreasing CDF row of ``cdf`` (Chen & Asau,
+    1974; Devroye 1986, III.2), one int8 row of ``_TABLE_BUCKETS`` entries.
+
+    Bucket j covers [j/M, (j+1)/M). When no CDF value lies strictly inside
+    it, searchsorted(cdf, u, "right") is the same for every u in it, and the
+    entry holds that value; otherwise the entry is -1 and ``_inverse_cdf``
+    searches. At most one bucket per CDF value is -1.
+    """
+    edges = np.arange(_TABLE_BUCKETS + 1) / _TABLE_BUCKETS
+    table = np.empty(cdf.shape[:-1] + (_TABLE_BUCKETS,), dtype=np.int8)
+    for row, entries in zip(cdf.reshape(-1, cdf.shape[-1]), table.reshape(-1, _TABLE_BUCKETS)):
+        below = np.searchsorted(row, edges[:-1], side="right")
+        inside = np.searchsorted(row, edges[1:], side="left") - below
+        entries[:] = np.where(inside > 0, -1, below)
+    table.flags.writeable = False
+    return table
+
+
+def _inverse_cdf(cdf: np.ndarray, table: np.ndarray, u: np.ndarray, row=None) -> np.ndarray:
+    """searchsorted(cdf, u, "right") for each uniform in the array ``u``, as
+    an int64 array of its shape, read from the ``_bucket_table`` of ``cdf``.
+    A 2-D ``cdf`` holds one CDF per row, and ``row`` picks one for each
+    uniform. Only uniforms that fall into a -1 bucket are searched, by
+    counting the CDF values at or below them.
+    """
+    bucket = (u * _TABLE_BUCKETS).astype(np.intp)
+    if row is not None:
+        # the rows of the table laid end to end
+        bucket += row * _TABLE_BUCKETS
+    out = table.ravel()[bucket].astype(np.int64)
+    miss = out < 0
+    if miss.any():
+        rows = cdf if row is None else cdf[row[miss]]
+        out[miss] = (rows <= u[miss][:, None]).sum(axis=-1)
+    return out
+
+
 def sample_type(
     config: BandwidthConfig, rng: np.random.Generator, size: int | tuple[int, ...] | None = None
 ) -> int | np.ndarray:
@@ -175,17 +218,25 @@ def sample_type(
 
     ``size`` follows numpy's convention: ``None`` draws one type and returns
     an int, anything else returns an integer array of that shape. Either way
-    each type consumes one ``rng.random`` double.
+    each type consumes one ``rng.random`` double, and the mix's cached
+    bucket table (``_types_of``) inverts it to the type that a binary search
+    of the cumulative mix would give.
     """
-    types = np.searchsorted(_type_cdf(config), rng.random(size), side="right") + 1
-    return int(types) if size is None else types
+    types = _types_of(config, rng.random(1 if size is None else size))
+    return int(types[0]) if size is None else types
+
+
+def _types_of(config: BandwidthConfig, u: np.ndarray) -> np.ndarray:
+    """The type that each uniform in ``u`` draws from the mix."""
+    return _inverse_cdf(*_type_law(config), u) + 1
 
 
 @lru_cache(maxsize=None)
-def _type_cdf(config: BandwidthConfig) -> np.ndarray:
+def _type_law(config: BandwidthConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The cumulative mix and its bucket table."""
     cdf = np.cumsum(config.type_probs)
     # the mix may sum to 1 only within PROB_TOL; a uniform in [0, 1) must
     # still never reach a type past the last one with positive weight
     cdf[np.flatnonzero(config.type_probs)[-1]:] = 1.0
     cdf.flags.writeable = False
-    return cdf
+    return cdf, _bucket_table(cdf)

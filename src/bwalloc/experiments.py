@@ -39,6 +39,7 @@ from .params import (
     PathLossModel,
     _check_enum,
     _check_int,
+    _check_mix,
     _check_real,
 )
 from .simulate import SimConfig, success_prob_curve
@@ -133,8 +134,7 @@ class ExperimentSpec:
         if self.theta_db is not None:
             object.__setattr__(self, "theta_db", _check_real(self.theta_db, "theta_db"))
         if self.alt_type_probs is not None:
-            probs = self.alt_type_probs
-            probs = tuple(_check_real(p, "alt_type_probs", 0.0, closed=True) for p in probs)
+            probs = _check_mix(self.alt_type_probs, "alt_type_probs")
             object.__setattr__(self, "alt_type_probs", probs)
         if self.mean_model_metric not in _MEAN_MODEL_METRICS:
             raise ConfigError(

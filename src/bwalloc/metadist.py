@@ -431,7 +431,8 @@ def _regularized_beta(a: float, b: float, x: float) -> float:
         return (c if abs(c) > tiny else tiny), 1.0 / (d if abs(d) > tiny else tiny)
 
     c = 1.0
-    d = 1.0 - (a + b) * x / (a + 1.0)
+    # 1 - (a + b) x / (a + 1), without its cancellation near the switch
+    d = (a * (1.0 - x) + 1.0 - b * x) / (a + 1.0)
     d = 1.0 / (d if abs(d) > tiny else tiny)
     frac = d
     for m in range(1, _BETA_CF_TERMS):
@@ -451,14 +452,26 @@ def _log_beta_front(a: float, b: float, x: float) -> float:
     """log(x^a (1 - x)^b / B(a, b)).
 
     Below ``_STIRLING_SHAPE`` the log-gamma terms are summed as they are.
-    Above it they grow like a log a and cancel, so Stirling's series is
-    expanded around the mode x0 = a / (a + b): a log(x / x0)
-    + b log((1 - x) / (1 - x0)) + log(ab / (2 pi (a + b))) / 2 plus the
-    series' corrections.
+    Above it they grow like a log a and cancel. With one shape s below it
+    and the other, L, above, lgamma(L + s) - lgamma(L) takes its Stirling
+    form (L - 1/2) log1p(s / L) + s log(L + s) - s plus the series'
+    corrections. With both above, Stirling's series is expanded around the
+    mode x0 = a / (a + b): a log(x / x0) + b log((1 - x) / (1 - x0))
+    + log(ab / (2 pi (a + b))) / 2 plus the corrections.
     """
-    if min(a, b) < _STIRLING_SHAPE:
+    small, large = min(a, b), max(a, b)
+    if small < _STIRLING_SHAPE:
         log_x = a * math.log(x) + b * math.log1p(-x)
-        return log_x + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+        if large < _STIRLING_SHAPE:
+            return log_x + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+        rise = (
+            (large - 0.5) * math.log1p(small / large)
+            + small * math.log(large + small)
+            - small
+            + _stirling_correction(large + small)
+            - _stirling_correction(large)
+        )
+        return log_x + rise - math.lgamma(small)
     n = a + b
     x0 = a / n
     d = x - x0

@@ -49,6 +49,16 @@ def _check_real(
     return value
 
 
+def _check_mix(probs, name: str, *, error=ConfigError) -> tuple[float, ...]:
+    """A type mix: entries that ``_check_real`` keeps at or above 0, summing
+    to 1 within ``PROB_TOL``; anything else raises ``error``."""
+    probs = tuple(_check_real(p, name, 0.0, closed=True, error=error) for p in probs)
+    total = math.fsum(probs)
+    if abs(total - 1.0) > PROB_TOL:
+        raise error(f"{name} must sum to 1, got {total!r}")
+    return probs
+
+
 def _check_enum(value, enum: type[Enum], *, error=ConfigError) -> Enum:
     """The member of ``enum`` that ``value`` names; raises ``error`` if none does."""
     try:
@@ -82,13 +92,10 @@ class BandwidthConfig:
     def __post_init__(self) -> None:
         n = _check_int(self.n_chunks, "n_chunks", 1, MAX_CHUNKS)
         object.__setattr__(self, "n_chunks", n)
-        probs = tuple(_check_real(p, "type_probs", 0.0, closed=True) for p in self.type_probs)
+        probs = _check_mix(self.type_probs, "type_probs")
         object.__setattr__(self, "type_probs", probs)
         if len(probs) != n:
             raise ConfigError(f"type_probs has {len(probs)} entries, expected n_chunks = {n}")
-        total = math.fsum(probs)
-        if abs(total - 1.0) > PROB_TOL:
-            raise ConfigError(f"type_probs must sum to 1, got {total!r}")
         object.__setattr__(self, "mode", _check_enum(self.mode, AllocationMode))
         power = _check_real(self.power_per_chunk, "power_per_chunk", 0.0)
         object.__setattr__(self, "power_per_chunk", power)

@@ -28,8 +28,11 @@ from functools import lru_cache
 import numpy as np
 
 from .allocation import (
+    _bucket_table,
     _check_type,
+    _inverse_cdf,
     _overlap_counts,
+    _types_of,
     sample_type,
     window_overlap_table,
 )
@@ -138,9 +141,10 @@ def _window(net: NetworkParams, sim: SimConfig) -> float:
     return radius
 
 
-def _window_starts(n_chunks: int, types: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """0-based start of a uniformly placed window for each user."""
-    return (rng.random(types.shape) * (n_chunks - types + 1)).astype(np.int64)
+def _window_starts(n_chunks: int, types, u) -> np.ndarray:
+    """0-based start of a uniformly placed window for each user, from one
+    uniform each."""
+    return (u * (n_chunks - types + 1)).astype(np.int64)
 
 
 @lru_cache(maxsize=None)
@@ -158,26 +162,29 @@ def _overlap_cdf(n_chunks: int, k: int) -> np.ndarray:
     return cdf
 
 
+@lru_cache(maxsize=None)
+def _overlap_table(n_chunks: int, k: int) -> np.ndarray:
+    return _bucket_table(_overlap_cdf(n_chunks, k))
+
+
 def _sample_overlaps(
-    ba: BandwidthConfig, k: int, types: np.ndarray, rng: np.random.Generator, typical
+    ba: BandwidthConfig, k: int, types: np.ndarray, u: np.ndarray, typical
 ) -> np.ndarray:
-    """Shared-chunk count of each interferer with a type-k typical user.
+    """Shared-chunk count of each interferer with a type-k typical user,
+    from one uniform each (``u``, the shape of ``types``).
 
     The last axis of ``types`` runs over the interferers of one network;
     leading axes index independent networks. Random mode inverts each pair's
-    exact law. Contiguous mode draws every interferer's window start and
-    intersects it with the typical window, which starts at ``typical``: one
-    start, or one per network (shape ``types.shape[:-1] + (1,)``).
+    exact law through the row of the interferer's type in the cached bucket
+    table of ``_overlap_cdf``. Contiguous mode places every interferer's
+    window and intersects it with the typical window, which starts at
+    ``typical``: one start, or one per network (shape
+    ``types.shape[:-1] + (1,)``).
     """
     n_chunks = ba.n_chunks
     if ba.mode is AllocationMode.RANDOM:
-        u = rng.random(types.shape)
-        row = types - 1
-        overlaps = np.zeros(types.shape, dtype=np.int64)
-        for cdf_t in _overlap_cdf(n_chunks, k).T:
-            overlaps += u >= cdf_t[row]
-        return overlaps
-    starts = _window_starts(n_chunks, types, rng)
+        return _inverse_cdf(_overlap_cdf(n_chunks, k), _overlap_table(n_chunks, k), u, types - 1)
+    starts = _window_starts(n_chunks, types, u)
     return np.maximum(0, np.minimum(typical + k, starts + types) - np.maximum(typical, starts))
 
 
@@ -193,7 +200,7 @@ def _fading_where_shared(overlaps: np.ndarray, rng: np.random.Generator) -> np.n
 def _interference(real: NetworkRealization, net: NetworkParams) -> float:
     """Interference at the typical receiver, in units of the per-chunk power."""
     attenuation = net.pathloss.attenuation(real.distance)
-    return float(np.sum(real.overlap * real.fading * attenuation))
+    return float((real.overlap * real.fading * attenuation).sum())
 
 
 def _sir(real: NetworkRealization, net: NetworkParams, signal_attenuation: float) -> float:
@@ -247,7 +254,9 @@ def conditional_success_prob(
     block = max(1, 250_000 // n)
     while done < n_fading_draws:
         m = min(block, n_fading_draws - done)
-        t_x = _sample_overlaps(ba, k, sample_type(ba, rng, (m, n)), rng, start)
+        # the types' uniforms, then the overlaps'
+        u = rng.random((2, m, n))
+        t_x = _sample_overlaps(ba, k, _types_of(ba, u[0]), u[1], start)
         h = _fading_where_shared(t_x, rng)
         h0 = rng.exponential(1.0, m)
         interference = (t_x * h * attenuation[None, :]).sum(axis=1)
@@ -262,20 +271,26 @@ def conditional_success_prob(
 def _realizations(net: NetworkParams, ba: BandwidthConfig, sim: SimConfig, k: int | None):
     """Yield (generator, sampled network) for every index of ``sim``; a
     statistic may keep drawing from the generator. The distances are
-    uniform in the disk, drawn as radius * sqrt(U); no angles are drawn."""
+    uniform in the disk, drawn as radius * sqrt(U); no angles are drawn.
+    After the interferer count, the uniforms of the distances, the types,
+    the typical window (contiguous mode only) and the overlaps are one
+    ``rng.random`` block, which is the stream that separate calls draw."""
     if k is not None:
         k = _check_type(ba.n_chunks, k, "k")
     radius = _window(net, sim)
     mean_count = net.intensity * math.pi * radius * radius
     random = ba.mode is AllocationMode.RANDOM
+    # random mode has one overlap-table row and draws no typical window
+    window = 0 if random else 1
     for idx in range(sim.n_realizations):
         rng = realization_rng(sim.seed, idx)
         k_typ = sample_type(ba, rng) if k is None else k
-        distance = radius * np.sqrt(rng.random(int(rng.poisson(mean_count))))
-        types = sample_type(ba, rng, distance.size)
-        # random mode has one overlap-table row and draws no typical window
-        start = 0 if random else int(_window_starts(ba.n_chunks, np.array(k_typ), rng))
-        overlap = _sample_overlaps(ba, k_typ, types, rng, start)
+        count = int(rng.poisson(mean_count))
+        u = rng.random(3 * count + window)
+        distance = radius * np.sqrt(u[:count])
+        types = _types_of(ba, u[count : 2 * count])
+        start = 0 if random else int(_window_starts(ba.n_chunks, k_typ, u[2 * count]))
+        overlap = _sample_overlaps(ba, k_typ, types, u[2 * count + window :], start)
         fading = _fading_where_shared(overlap, rng)
         typical_fading = float(rng.exponential(1.0))
         yield rng, NetworkRealization(distance, overlap, fading, k_typ, typical_fading, start)

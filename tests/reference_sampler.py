@@ -70,7 +70,7 @@ def _sample_occupancy(
             ranks, order, np.broadcast_to(np.arange(n_chunks), (n, n_chunks)).copy(), axis=1
         )
         return ranks < types[:, None]
-    starts = _window_starts(n_chunks, types, rng)
+    starts = _window_starts(n_chunks, types, rng.random(types.shape))
     cols = np.arange(n_chunks)
     return (cols >= starts[:, None]) & (cols < (starts + types)[:, None])
 

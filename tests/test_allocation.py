@@ -15,7 +15,10 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from bwalloc.allocation import (
+    _TABLE_BUCKETS,
     OverlapPmf,
+    _inverse_cdf,
+    _type_law,
     overlap_pmf,
     overlap_pmf_contiguous,
     overlap_pmf_random,
@@ -24,6 +27,7 @@ from bwalloc.allocation import (
 )
 from bwalloc.errors import ConfigError, DomainError
 from bwalloc.params import MAX_CHUNKS, AllocationMode, BandwidthConfig
+from bwalloc.simulate import _overlap_cdf, _overlap_table
 
 from reference_sampler import sample_chunk_set
 
@@ -292,6 +296,83 @@ def test_sample_type_chisquare_uniform():
     counts = Counter(sample_type(config, rng) for _ in range(100_000))
     res = stats.chisquare([counts[1], counts[2], counts[3]])
     assert res.pvalue > 0.01
+
+
+# ---------------------------------------------------------------------------
+# bucket tables of the samplers' inverse CDFs
+
+
+def _mix64_with_zeros() -> BandwidthConfig:
+    weights = np.arange(1, 65, dtype=float)
+    weights[::3] = 0.0
+    return BandwidthConfig(64, tuple(weights / weights.sum()))
+
+
+_TYPE_MIXES = {
+    **{f"uniform{n}": BandwidthConfig.uniform(n) for n in (1, 3, 10, 64)},
+    "mix64_with_zeros": _mix64_with_zeros(),
+    "prob_tol": BandwidthConfig(3, (0.5, 0.5 - 1e-13, 0.0)),
+}
+
+
+def _assert_table_exact(cdf: np.ndarray, table: np.ndarray) -> None:
+    # searchsorted is monotone in u, so agreeing at both ends of a bucket
+    # covers every double in it
+    m = _TABLE_BUCKETS
+    assert table.shape == (m,) and table.dtype == np.int8
+    lo = np.arange(m) / m
+    hi = np.nextafter(np.arange(1, m + 1) / m, 0.0)
+    searched = table >= 0
+    for end in (lo, hi):
+        np.testing.assert_array_equal(
+            np.searchsorted(cdf, end[searched], side="right"), table[searched]
+        )
+    # every -1 bucket holds a CDF value strictly inside it
+    assert np.count_nonzero(~searched) <= cdf.size
+    for j in np.flatnonzero(~searched):
+        assert np.any((cdf > lo[j]) & (cdf <= hi[j])), j
+
+
+@pytest.mark.parametrize("name", sorted(_TYPE_MIXES))
+def test_type_bucket_table_is_exact(name):
+    config = _TYPE_MIXES[name]
+    _assert_table_exact(*_type_law(config))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_overlap_bucket_tables_are_exact(n):
+    for k in range(1, n + 1):
+        cdf, table = _overlap_cdf(n, k), _overlap_table(n, k)
+        assert table.shape == (n, _TABLE_BUCKETS)
+        for i in range(n):
+            _assert_table_exact(cdf[i], table[i])
+
+
+def test_bucket_fallback_draws_match_the_search():
+    # uniforms at and just below every CDF value inside (0, 1) fall into
+    # the -1 buckets, so each of them is searched
+    config = BandwidthConfig.uniform(3)
+    cdf, table = _type_law(config)
+    u = np.concatenate([cdf[:-1], np.nextafter(cdf[:-1], 0.0)])
+    assert np.all(table[(u * _TABLE_BUCKETS).astype(np.intp)] == -1)
+    np.testing.assert_array_equal(
+        sample_type(config, _FixedUniforms(u), u.shape), np.searchsorted(cdf, u, "right") + 1
+    )
+    # the same for the overlap rows, one per interferer type
+    cdf, table = _overlap_cdf(10, 4), _overlap_table(10, 4)
+    row, col = np.nonzero((cdf > 0.0) & (cdf < 1.0))
+    row, u = np.tile(row, 2), np.concatenate([cdf[row, col], np.nextafter(cdf[row, col], 0.0)])
+    assert np.any(table[row, (u * _TABLE_BUCKETS).astype(np.intp)] == -1)
+    expected = [np.searchsorted(cdf[r], v, "right") for r, v in zip(row, u)]
+    np.testing.assert_array_equal(_inverse_cdf(cdf, table, u, row), expected)
+
+
+def test_sample_type_block_matches_the_search():
+    config = _TYPE_MIXES["mix64_with_zeros"]
+    types = sample_type(config, np.random.default_rng(3), (50, 40))
+    u = np.random.default_rng(3).random((50, 40))
+    assert types.shape == (50, 40) and types.dtype == np.int64
+    np.testing.assert_array_equal(types, np.searchsorted(_type_law(config)[0], u, "right") + 1)
 
 
 @pytest.mark.parametrize("mode", [AllocationMode.RANDOM, AllocationMode.CONTIGUOUS])

@@ -119,18 +119,19 @@ REAL_RULE = [
     ("SweepSpec.start", lambda v: SweepSpec(SweepVariable.THETA_DB, v, 1.0, 5), ConfigError, []),
     ("SweepSpec.stop", lambda v: SweepSpec(SweepVariable.THETA_DB, 0.0, v, 5), ConfigError, []),
     (
-        "ExperimentSpec.alt_type_probs",
-        lambda v: ExperimentSpec(Metric.SUCCESS_PROB, THETA_SWEEP, alt_type_probs=(1.0, 0.0, v)),
-        ConfigError,
-        [-1e-9],
-    ),
-    (
         "matched_intensity.alt_power",
         lambda v: matched_intensity(NET, BA, BA.type_probs, v),
         DomainError,
         [0.0],
     ),
-    # an alternative mix is a function argument; 0.6 makes it sum to 1.6
+    # an alternative mix is a record field or a function argument; 0.6
+    # makes it sum to 1.6
+    (
+        "ExperimentSpec.alt_type_probs",
+        lambda v: ExperimentSpec(Metric.SUCCESS_PROB, THETA_SWEEP, alt_type_probs=(0.5, v, 0.5)),
+        ConfigError,
+        [-1e-9, 0.6],
+    ),
     (
         "matched_power.alt_probs",
         lambda v: matched_power(BA, (0.5, v, 0.5)),

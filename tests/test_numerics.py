@@ -81,6 +81,21 @@ def test_regularized_beta_at_large_shapes(a, b):
         assert abs(got - special.betainc(a, b, x)) <= 1e-12, (a, b, z)
 
 
+@pytest.mark.parametrize(
+    "a, b, x, bound", [(9.28e6, 15.05, 0.999998, 1e-10), (5.5, 5.54e6, 7.2e-7, 1e-12)]
+)
+def test_regularized_beta_with_one_large_shape(a, b, x, bound):
+    # one shape above _STIRLING_SHAPE and one below: lgamma(a + b) and the
+    # larger lgamma cancel, so their difference takes its own Stirling form
+    with mpmath.workdps(40):
+        p, q, z = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(x)
+        front = float(p * mpmath.log(z) + q * mpmath.log1p(-z) - mpmath.log(mpmath.beta(p, q)))
+    assert abs(metadist._log_beta_front(a, b, x) - front) <= 1e-12
+    # the first point lies just below the continued fraction's switch at
+    # x = (a + 1) / (a + b + 2), where x near 1 costs the fraction digits
+    assert abs(metadist._regularized_beta(a, b, x) - special.betainc(a, b, x)) <= bound
+
+
 def test_regularized_beta_endpoints_and_symmetry():
     assert metadist._regularized_beta(2.0, 3.0, 0.0) == 0.0
     assert metadist._regularized_beta(2.0, 3.0, 1.0) == 1.0

@@ -41,3 +41,10 @@ def test_crosscheck_prints_every_row_in_both_modes():
     # a zero standard error prints n/a, never a huge z-score
     z_scores = [float(row.split()[-1]) for row in rows if not row.endswith("n/a")]
     assert all(abs(z) <= 1e3 for z in z_scores)
+
+
+def test_crosscheck_output_is_pinned():
+    # the table at a fixed seed, as the script printed it when recorded;
+    # any change to a closed form or to the simulator's stream shows here
+    out = _run("crosscheck_simulation.py", "--realizations", "200", "--seed", "1")
+    assert out == (ROOT / "tests" / "data" / "crosscheck_seed1_200.txt").read_text()

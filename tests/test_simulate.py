@@ -177,7 +177,8 @@ def test_random_overlap_draw_follows_the_pair_law(n):
     draws = 20_000
     for k in (1, n):
         for i in range(1, n + 1):
-            t = _sample_overlaps(ba, k, np.full((draws // 50, 50), i), rng, 0)
+            types = np.full((draws // 50, 50), i)
+            t = _sample_overlaps(ba, k, types, rng.random(types.shape), 0)
             freq = np.bincount(t.ravel(), minlength=k + 1) / draws
             pmf = overlap_pmf(ba, k, i)
             for t_value in range(k + 1):
@@ -216,8 +217,9 @@ def test_contiguous_overlap_draw_conditions_on_the_typical_window(n):
     for k in (1, n):
         starts = range(n - k + 1)
         for i, j in sorted({(n - 1, n - 1), (1, n - 1), (2, n)}):
-            typical = _window_starts(n, np.full((networks, 1), k), rng)
-            t = _sample_overlaps(ba, k, np.tile([i, j], (networks, 1)), rng, typical)
+            typical = _window_starts(n, np.full((networks, 1), k), rng.random((networks, 1)))
+            types = np.tile([i, j], (networks, 1))
+            t = _sample_overlaps(ba, k, types, rng.random(types.shape), typical)
             observed = Counter(zip(t[:, 0].tolist(), t[:, 1].tolist()))
             expected = defaultdict(float)
             for s in starts:
@@ -545,3 +547,78 @@ def test_window_insensitivity():
 def test_estimate_interval():
     est = EstimateWithCI(0.5, 0.01, 100)
     assert est.interval(2.0) == (0.48, 0.52)
+
+
+# ---------------------------------------------------------------------------
+# the stream, pinned: exact estimates at a fixed seed, so that a change to
+# how the loop draws cannot pass unnoticed as long as its statistics hold
+
+_PIN_MIX = (0.3, 0.0, 0.1, 0.2, 0.0, 0.0, 0.15, 0.0, 0.05, 0.2)
+_PIN_SIM = SimConfig(n_realizations=30, seed=7)
+_PIN_X = np.linspace(0.05, 0.95, 19)
+
+#: (mode, k): success hits at theta = 0.1, 1, 10; throughput and mean
+#: interference (value, std_error); meta-distribution hits at theta = 1
+#: over _PIN_X
+_PINNED = {
+    (AllocationMode.RANDOM, 3): (
+        [27, 16, 2],
+        (0.4022020360569916, 0.0659336255407932),
+        (2.062790393496646, 0.561581325303406),
+        [30, 30, 29, 28, 28, 25, 24, 20, 18, 17, 14, 11, 8, 5, 2, 1, 0, 0, 0],
+    ),
+    (AllocationMode.RANDOM, None): (
+        [24, 13, 2],
+        (0.5610827117708167, 0.1437849631239095),
+        (3.5814261957288887, 0.7826036753974229),
+        [30, 30, 30, 28, 28, 27, 25, 22, 19, 17, 13, 11, 10, 6, 3, 1, 0, 0, 0],
+    ),
+    (AllocationMode.CONTIGUOUS, 3): (
+        [28, 16, 4],
+        (0.5099836951113815, 0.083210190279545),
+        (1.4667081447828807, 0.2866719832446133),
+        [30, 30, 29, 28, 26, 25, 23, 20, 19, 17, 13, 9, 5, 5, 2, 1, 0, 0, 0],
+    ),
+    (AllocationMode.CONTIGUOUS, None): (
+        [27, 15, 3],
+        (0.5937282689370373, 0.12290177322957867),
+        (2.5741028498727445, 0.6168743446464429),
+        [30, 30, 28, 28, 28, 27, 24, 22, 20, 17, 16, 11, 9, 8, 5, 1, 0, 0, 0],
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", list(AllocationMode))
+@pytest.mark.parametrize("k", [3, None])
+def test_estimates_are_pinned(mode, k):
+    ba = BandwidthConfig(10, _PIN_MIX, mode)
+    success, throughput, interference, meta = _PINNED[(mode, k)]
+    n = _PIN_SIM.n_realizations
+    curve = success_prob_curve(BOUNDED, ba, _PIN_SIM, k, [0.1, 1.0, 10.0])
+    assert [e.value for e in curve] == [c / n for c in success]
+    est = estimate_throughput(BOUNDED, ba, _PIN_SIM, k)
+    assert (est.value, est.std_error) == throughput
+    est = estimate_mean_interference(BOUNDED, ba, _PIN_SIM, k)
+    assert (est.value, est.std_error) == interference
+    ccdf = estimate_meta_distribution(BOUNDED, ba, _PIN_SIM, k, 1.0, _PIN_X)
+    assert [e.value for e in ccdf] == [c / n for c in meta]
+
+
+@pytest.mark.parametrize(
+    "mode, start, shared, empirical, closed_form",
+    [
+        (AllocationMode.RANDOM, 0, 5659, 0.712, 0.7104630146840778),
+        (AllocationMode.CONTIGUOUS, 3, 5929, 0.685, 0.6992859260076356),
+    ],
+)
+def test_conditional_values_are_pinned(mode, start, shared, empirical, closed_form):
+    # the first network of the mix-typed loop, then the fully-empirical
+    # route's redraws from its generator
+    ba = BandwidthConfig(10, _PIN_MIX, mode)
+    rng, real = next(_realizations(BOUNDED, ba, _PIN_SIM, None))
+    assert (real.typical_type, real.typical_start, int(real.overlap.sum())) == (7, start, shared)
+    value = conditional_success_prob(
+        real, BOUNDED, ba, 7, 1.0, ConditionalMode.FULLY_EMPIRICAL, 1000, rng
+    )
+    assert value == empirical
+    assert conditional_success_prob(real, BOUNDED, ba, 7, 1.0) == closed_form
