@@ -19,6 +19,17 @@ below the cutoff by a hard cap on u, the inversion raises
 ``OscillatoryIntegrationError`` and names the gap or the tail size, and
 ``meta_ccdf(method="auto")`` falls back to the beta fit.
 
+The moments on that grid come from a radial profile: a Gauss-Legendre rule
+on the compactified half-line, doubled from 256 nodes until two rungs agree on
+probe orders; the coarser of the two agreeing rungs is kept, since the finer
+one has just confirmed it. All Gauss-Legendre nodes come from Newton's method
+on the Legendre recurrence, with no eigensolver. A moment at u = a + b, with
+a the start of u's panel, reuses the panel start's terms, so sin and cos run
+once per panel start and once per panel offset rather than once per u. The
+sums over radial nodes that combine them are real matrix-vector products: a
+matrix-matrix product would start BLAS worker threads, which keep spinning
+after it returns and burn CPU time while Python runs.
+
 Given the typical user's chunk set, the per-interferer factor reads one row
 of ``window_overlap_table``. Each distinct row gets its own radial profile,
 and every moment and ccdf is the mean over the equally likely rows: one row
@@ -46,8 +57,15 @@ _U_CAP = 1e4
 _LEVEL_TOL = 1e-8
 _N_LEVELS = 3
 
-#: Moments are evaluated in (u x radial node) blocks of at most this many
-#: entries, and the coarsest level grows this many panels at a time.
+#: Gauss-Legendre roots: the most Newton steps, and the step size below which
+#: a root counts as settled (a step this small leaves an error far below one
+#: ulp, since Newton converges quadratically from Tricomi's guesses).
+_NEWTON_STEPS = 8
+_NEWTON_TOL = 1e-14
+
+#: The moment kernel takes panel starts in blocks of at most a quarter of
+#: this many (start x radial node) entries, and the coarsest level grows this
+#: many panels at a time.
 _BLOCK_ENTRIES = 1 << 17
 _PANELS_PER_STEP = 32
 
@@ -87,11 +105,43 @@ def _check_theta(theta: float) -> float:
 
 @lru_cache(maxsize=None)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only n-point Gauss-Legendre nodes and weights on [-1, 1]."""
-    nodes, weights = np.polynomial.legendre.leggauss(n)
+    """Read-only n-point Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+
+    Newton's method on the three-term recurrence finds the non-negative roots
+    of P_n from Tricomi's guesses (1 - (n - 1) / (8 n^3)) cos(pi (4i - 1) /
+    (4n + 2)), written as a sine so that the middle root of an odd n starts,
+    and stays, at exactly 0; the negative half is their mirror image. The
+    weights are 2 / ((1 - x)(1 + x) P_n'(x)^2) at the converged roots. Raises
+    ``IntegrationError`` when a root has not settled within _NEWTON_STEPS.
+    """
+    j = np.arange(1 - n % 2, n, 2, dtype=float)
+    x = (1.0 - (n - 1) / (8.0 * n**3)) * np.sin(math.pi * j / (2 * n + 1))
+    for _ in range(_NEWTON_STEPS):
+        p, dp = _legendre(n, x)
+        step = p / dp
+        x -= step
+        if np.max(np.abs(step)) <= _NEWTON_TOL:
+            break
+    else:
+        raise IntegrationError(
+            f"{n}-point Gauss-Legendre roots did not settle in {_NEWTON_STEPS} Newton steps"
+        )
+    _, dp = _legendre(n, x)
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    nodes = np.concatenate([-x[::-1], x[n % 2 :]])
+    weights = np.concatenate([w[::-1], w[n % 2 :]])
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
+
+
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_n'(x) for |x| < 1, by the three-term recurrence
+    (k + 1) P_{k+1} = (2k + 1) x P_k - k P_{k-1}."""
+    p_prev, p = np.ones_like(x), x.copy()
+    for k in range(1, n):
+        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+    return p, n * (p_prev - x * p) / ((1.0 - x) * (1.0 + x))
 
 
 def _adaptive_gauss_legendre(f, edges, tol: float, what: str) -> float:
@@ -185,16 +235,19 @@ class _RadialProfile:
             jac = r_link / np.cos(v) ** 2
             discount = _interference_discount(net, k, theta, r, q)
             with np.errstate(divide="ignore"):
-                self._log_factor = np.log1p(-discount)
-            if not np.all(np.isfinite(self._log_factor)):
+                log_factor = np.log1p(-discount)
+            if not np.all(np.isfinite(log_factor)):
                 # a discount of exactly 1 (power law, q_0 = 0) recurs on every
                 # finer rung, whose inner node only moves closer to the origin
                 break
-            self._weight = w * r * jac
+            self._log_factor, self._weight = rung = log_factor, w * r * jac
             probes = np.array([self.log_moment(b) for b in self._PROBES])
-            if prev is not None and np.all(np.abs(probes - prev) < 5e-8 * (1 + np.abs(probes))):
+            if prev is not None and np.all(np.abs(probes - prev[0]) < 5e-8 * (1 + np.abs(probes))):
+                # rung n confirms rung n / 2, which is then kept: it is
+                # accurate already and costs half as much per moment
+                self._log_factor, self._weight = prev[1]
                 return
-            prev = probes
+            prev = probes, rung
         # only complex orders use the profile, so this is a failure of the
         # inversion and meta_ccdf(method="auto") may fall back to beta
         raise OscillatoryIntegrationError(
@@ -205,28 +258,65 @@ class _RadialProfile:
         """Exponent of the order-b moment."""
         if b == 0:
             return 0.0
-        return -self.prefactor * np.sum((1.0 - np.exp(b * self._log_factor)) * self._weight)
+        # 1 - exp(b L) without cancellation on the far tail, where L is tiny
+        return self.prefactor * np.sum(np.expm1(b * self._log_factor) * self._weight)
 
     def moment(self, b: complex) -> complex:
         return np.exp(self.log_moment(b))
 
     def _moment_polar(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """|M(ju)| and arg M(ju) at the real orders u, one bounded block of
-        (u x radial node) entries at a time."""
-        amp = np.empty(u.size)
-        arg = np.empty(u.size)
-        rows = max(1, _BLOCK_ENTRIES // self._log_factor.size)
-        for lo in range(0, u.size, rows):
-            half = np.multiply.outer(u[lo : lo + rows], 0.5 * self._log_factor)
-            s = np.sin(half)
-            c = np.cos(half, out=half)
-            # 1 - cos(t) = 2 sin(t/2)^2 and sin(t) = 2 sin(t/2) cos(t/2): no
-            # cancellation on the far tail, where t is tiny
-            c *= s
-            s *= s
-            amp[lo : lo + rows] = np.exp(-2.0 * self.prefactor * (s @ self._weight))
-            arg[lo : lo + rows] = 2.0 * self.prefactor * (c @ self._weight)
-        return amp, arg
+        """|M(ju)| and arg M(ju) at any real orders u >= 0: each u splits
+        exactly into its panel start a and offset b = u - a, and the distinct
+        ones go through ``_polar_grid``."""
+        start = _PANEL_WIDTH * np.floor(u / _PANEL_WIDTH)
+        starts, row = np.unique(start, return_inverse=True)
+        offsets, col = np.unique(u - start, return_inverse=True)
+        amp, arg = self._polar_grid(starts, offsets)
+        return amp[row, col], arg[row, col]
+
+    def _polar_grid(
+        self, starts: np.ndarray, offsets: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """|M(ju)| and arg M(ju) at u = a + b for every panel start a (rows)
+        and offset b (columns).
+
+        M(ju) = exp(-prefactor G(u)) with G(u) = sum_r w_r (1 - e^{j u L_r}),
+        and G(a + b) = G(a) + sum_r w_r e^{j a L_r} (1 - e^{j b L_r}), so sin
+        and cos run on (starts + offsets) x R entries instead of on every
+        (u x R) entry. Each 1 - e^{jx} takes the half-angle form
+        2 sin(x/2)^2 - 2j sin(x/2) cos(x/2), which does not cancel on the far
+        tail, where x is tiny. The sums over r are real matrix-vector
+        products, two per offset on a block of starts: a matrix-matrix
+        product would start BLAS worker threads that keep spinning after it
+        returns.
+        """
+        weight = self._weight
+        half_angle = 0.5 * self._log_factor
+        # w_r (1 - e^{j b L_r}) for every offset b
+        d_re, d_im = _half_angle_products(np.multiply.outer(offsets, half_angle))
+        d_re *= 2.0 * weight
+        d_im *= -2.0 * weight
+        g_re = np.empty((starts.size, offsets.size))
+        g_im = np.empty((starts.size, offsets.size))
+        rows = max(1, _BLOCK_ENTRIES // (4 * weight.size))
+        for lo in range(0, starts.size, rows):
+            block = slice(lo, lo + rows)
+            rot = _half_angle_products(np.multiply.outer(starts[block], half_angle))
+            g_re[block] = 2.0 * (rot[0] @ weight)[:, None]
+            g_im[block] = -2.0 * (rot[1] @ weight)[:, None]
+            # e^{j a L} = 1 - 2 sin(aL/2)^2 + 2j sin(aL/2) cos(aL/2)
+            rot[0] *= -2.0
+            rot[0] += 1.0
+            rot[1] *= 2.0
+            n_rows = rot.shape[1]
+            rot = rot.reshape(2 * n_rows, -1)
+            for i in range(offsets.size):
+                # rows: [Re e^{jaL}; Im e^{jaL}] against Re and Im of w (1 - e^{jbL})
+                re = rot @ d_re[i]
+                im = rot @ d_im[i]
+                g_re[block, i] += re[:n_rows] - im[n_rows:]
+                g_im[block, i] += im[:n_rows] + re[n_rows:]
+        return np.exp(-self.prefactor * g_re), -self.prefactor * g_im
 
     def _inversion_level(self, level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Nodes u, weights w |M(ju)| / u and phases arg M(ju) of the
@@ -235,28 +325,29 @@ class _RadialProfile:
         finer levels reuse them.
         """
         if self._levels[level] is None:
-            n = _PANEL_NODES << level
+            offsets, w = _panel_rule(_PANEL_NODES << level)
             if level == 0:
-                u, w, amp, arg = self._grow_coarsest(n)
+                amp, arg = self._grow_coarsest(offsets)
             else:
-                u, w = _panel_rule(n, 0, self._n_panels)
-                amp, arg = self._moment_polar(u)
-            self._levels[level] = (u, w * amp / u, arg)
+                amp, arg = self._polar_grid(_panel_starts(0, self._n_panels), offsets)
+            u = np.add.outer(_panel_starts(0, self._n_panels), offsets)
+            self._levels[level] = (u.ravel(), (w * amp / u).ravel(), arg.ravel())
         return self._levels[level]
 
-    def _grow_coarsest(self, n: int) -> list[np.ndarray]:
-        """u, w, |M(ju)| and arg M(ju) of the n-point rule on panels added
-        until a whole panel has |M(ju)| below _TAIL_CUTOFF, or up to _U_CAP.
-        Records the panel count and the largest |M(ju)| on the last panel."""
+    def _grow_coarsest(self, offsets: np.ndarray) -> list[np.ndarray]:
+        """|M(ju)| and arg M(ju), one row per panel, at the panel offsets on
+        panels added until a whole panel has |M(ju)| below _TAIL_CUTOFF, or
+        up to _U_CAP. Records the panel count and the largest |M(ju)| on the
+        last panel."""
         n_cap = int(_U_CAP / _PANEL_WIDTH)
         parts = []
         for first in range(0, n_cap, _PANELS_PER_STEP):
-            rule = _panel_rule(n, first, min(_PANELS_PER_STEP, n_cap - first))
-            polar = self._moment_polar(rule[0])
-            peaks = polar[0].reshape(-1, n).max(axis=1)
+            starts = _panel_starts(first, min(_PANELS_PER_STEP, n_cap - first))
+            amp, arg = self._polar_grid(starts, offsets)
+            peaks = amp.max(axis=1)
             below = np.flatnonzero(peaks < _TAIL_CUTOFF)
             used = int(below[0]) + 1 if below.size else peaks.size
-            parts.append([a[: n * used] for a in (*rule, *polar)])
+            parts.append((amp[:used], arg[:used]))
             if below.size:
                 break
         self._n_panels = first + used
@@ -286,14 +377,28 @@ class _RadialProfile:
         )
 
 
-def _panel_rule(n: int, first: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point Gauss-Legendre rule on each of the
-    u panels first, ..., first + count - 1."""
+def _half_angle_products(x: np.ndarray) -> np.ndarray:
+    """sin(x)^2 and sin(x) cos(x), stacked on a new first axis."""
+    out = np.empty((2, *x.shape))
+    np.sin(x, out=out[0])
+    np.cos(x, out=out[1])
+    out[1] *= out[0]
+    out[0] *= out[0]
+    return out
+
+
+def _panel_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets b in (0, _PANEL_WIDTH) and weights of the n-point
+    Gauss-Legendre rule on one u panel; the nodes are u = a + b for each
+    panel start a."""
     nodes, weights = _gauss_legendre(n)
     half = 0.5 * _PANEL_WIDTH
-    lo = _PANEL_WIDTH * np.arange(first, first + count, dtype=float)
-    u = (lo[:, None] + half * (nodes + 1.0)[None, :]).ravel()
-    return u, np.tile(half * weights, count)
+    return half * (nodes + 1.0), half * weights
+
+
+def _panel_starts(first: int, count: int) -> np.ndarray:
+    """Starts of the u panels first, ..., first + count - 1."""
+    return _PANEL_WIDTH * np.arange(first, first + count, dtype=float)
 
 
 def _per_distinct_row(table: np.ndarray, build) -> list:

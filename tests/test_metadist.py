@@ -15,6 +15,7 @@ import pytest
 from bwalloc import metadist
 from bwalloc.allocation import overlap_pmf_random
 from bwalloc.errors import DomainError, OscillatoryIntegrationError
+from bwalloc.experiments import FIGURE_PRESETS
 from bwalloc.metadist import (
     beta_shape_parameters,
     meta_ccdf,
@@ -100,6 +101,19 @@ def test_first_moment_equals_closed_form_bounded(k, theta):
     m1 = moment_b_k(BOUNDED, UNIFORM3, k, theta, 1.0)
     closed = success_prob_k(BOUNDED, UNIFORM3, k, theta)
     assert abs(m1 - closed) / closed < 1e-6
+
+
+@pytest.mark.parametrize("net", [BOUNDED, POWER_LAW], ids=["bounded", "power-law"])
+@pytest.mark.parametrize("mode", list(AllocationMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_profile_first_moment_equals_closed_form(net, mode, k):
+    # the profile's 1 - (1 - h)^b must not cancel on the far tail, where
+    # log(1 - h) is tiny; computed as 1 - exp(b log(1 - h)), M_1 missed the
+    # closed form by up to 2e-9
+    ba = BandwidthConfig.uniform(5, mode=mode, power_per_chunk=2.0)
+    profiles = metadist._profiles(net, ba, k, THETA_MINUS5DB)
+    m1 = np.mean([p.moment(1.0) for p in profiles])
+    assert abs(m1 - success_prob_k(net, ba, k, THETA_MINUS5DB)) <= 1e-14
 
 
 def _oracle_moment(net, k, theta, b, q=None):
@@ -276,6 +290,66 @@ def test_gilpelaez_reproduces_real_moments_and_is_nonincreasing(net, theta, k):
     assert abs(ws @ ccdf - moment_b_k(net, UNIFORM3, k, theta, 1.0)) < 5e-7
     assert abs(ws @ (2.0 * xs * ccdf) - moment_b_k(net, UNIFORM3, k, theta, 2.0)) < 5e-7
     assert np.all(np.diff(ccdf) <= 1e-7)
+
+
+def _per_entry_polar(profile, u):
+    """|M(ju)| and arg M(ju) with sin and cos on every (u x radial node)
+    entry, one bounded block at a time: the oracle of the panel-factored
+    kernel."""
+    amp = np.empty(u.size)
+    arg = np.empty(u.size)
+    rows = max(1, metadist._BLOCK_ENTRIES // profile._log_factor.size)
+    for lo in range(0, u.size, rows):
+        half = np.multiply.outer(u[lo : lo + rows], 0.5 * profile._log_factor)
+        s = np.sin(half)
+        c = np.cos(half, out=half)
+        c *= s
+        s *= s
+        amp[lo : lo + rows] = np.exp(-2.0 * profile.prefactor * (s @ profile._weight))
+        arg[lo : lo + rows] = 2.0 * profile.prefactor * (c @ profile._weight)
+    return amp, arg
+
+
+def _assert_polar_close(profile, u, amp, arg):
+    ref_amp, ref_arg = _per_entry_polar(profile, u)
+    assert np.max(np.abs(amp / ref_amp - 1.0)) <= 1e-13
+    assert np.max(np.abs(arg - ref_arg) / (1.0 + np.abs(ref_arg))) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "net, theta, k",
+    [
+        (BOUNDED, THETA_MINUS5DB, 1),
+        (BOUNDED, THETA_MINUS5DB, 2),
+        (BOUNDED, THETA_MINUS5DB, 3),
+        (POWER_LAW, 1.0, 1),
+    ],
+    ids=["fig3-k1", "fig3-k2", "fig3-k3", "power-law-0dB-k1"],
+)
+def test_panel_kernel_matches_per_entry_kernel(net, theta, k):
+    (profile,) = metadist._profiles(net, UNIFORM3, k, theta)
+    for level in range(metadist._N_LEVELS):
+        u, coef, arg = profile._inversion_level(level)
+        _, w = metadist._panel_rule(metadist._PANEL_NODES << level)
+        _assert_polar_close(profile, u, coef * u / np.tile(w, u.size // w.size), arg)
+    # any u >= 0, not only panel nodes: 0, panel edges and random reals
+    edges = metadist._PANEL_WIDTH * np.arange(40.0)
+    u = np.concatenate([edges, np.random.default_rng(3).uniform(0.0, edges[-1], 200)])
+    _assert_polar_close(profile, u, *profile._moment_polar(u))
+
+
+def test_fig3_profiles_keep_the_coarser_agreeing_rung(monkeypatch):
+    # rung 512 confirms rung 256, which the profile then keeps
+    sizes = []
+    rule = metadist._gauss_legendre
+    monkeypatch.setattr(metadist, "_gauss_legendre", lambda n: sizes.append(n) or rule(n))
+    spec = FIGURE_PRESETS["fig3"]()
+    theta = 10 ** (spec.theta_db / 10)
+    for k in (1, 2, 3):
+        sizes.clear()
+        (profile,) = metadist._profiles.__wrapped__(spec.network, spec.bandwidth, k, theta)
+        assert sizes == [256, 512]
+        assert profile._log_factor.size == profile._weight.size == 256
 
 
 def test_gilpelaez_reports_truncation_and_auto_falls_back_to_beta():

@@ -20,7 +20,7 @@ from scipy import integrate, special
 from bwalloc import metadist, metrics
 from bwalloc.cli import main
 from bwalloc.errors import IntegrationError
-from bwalloc.experiments import default_network
+from bwalloc.experiments import FIGURE_NAMES, FIGURE_PRESETS, default_network, run_experiment
 from bwalloc.params import AllocationMode, BandwidthConfig, NetworkParams, PathLossModel
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -165,6 +165,52 @@ def test_adaptive_rule_is_exact_on_polynomials_and_bisects_kinks():
     assert value == pytest.approx(2.0**8 / 8 - 6.0, abs=1e-12)
     value = metadist._adaptive_gauss_legendre(kink, (0.0, 1.0), 1e-12, "test")
     assert value == pytest.approx(5 / 18, rel=metadist._REL_TOL)
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Legendre nodes
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 10, 20, 32, 100])
+def test_gauss_legendre_matches_leggauss(n):
+    nodes, weights = metadist._gauss_legendre(n)
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
+    assert np.max(np.abs(nodes - ref_nodes)) <= 2e-16
+    # absolute error: leggauss's own end weights are off by up to 2e-12
+    # relative at n = 100
+    assert np.max(np.abs(weights - ref_weights)) <= 1e-14
+    assert np.all(np.diff(nodes) > 0.0)
+    assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])
+    assert abs(weights.sum() - 2.0) <= 1e-15
+    assert not nodes.flags.writeable and not weights.flags.writeable
+
+
+@pytest.mark.parametrize("n, rel", [(256, 1e-12), (512, 1e-12), (4096, 1e-11)])
+def test_gauss_legendre_integrates_its_highest_even_power(n, rel):
+    # x^(2n - 2) puts its mass on the end nodes, whose weights are the
+    # hardest to get right
+    nodes, weights = metadist._gauss_legendre(n)
+    exact = 2.0 / (2 * n - 1)
+    assert abs(weights @ nodes ** (2 * n - 2) - exact) <= rel * exact
+
+
+def test_gauss_legendre_refuses_unsettled_roots(monkeypatch):
+    monkeypatch.setattr(metadist, "_NEWTON_STEPS", 1)
+    with pytest.raises(IntegrationError, match="did not settle in 1 Newton steps"):
+        metadist._gauss_legendre.__wrapped__(64)
+
+
+def test_no_eigensolver_behind_any_preset(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the library called an eigensolver")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    metadist._gauss_legendre.cache_clear()
+    metadist._profiles.cache_clear()
+    for name in FIGURE_NAMES:
+        header, rows = run_experiment(FIGURE_PRESETS[name]())
+        assert rows, name
 
 
 # ---------------------------------------------------------------------------
