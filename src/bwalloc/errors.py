@@ -18,5 +18,5 @@ class IntegrationError(RuntimeError):
 
 
 class OscillatoryIntegrationError(IntegrationError):
-    """The oscillatory inversion integral failed; callers may fall back to
-    the beta approximation."""
+    """The inversion's u grid failed on a converged radial profile; callers
+    may fall back to the beta fit, which reads that profile's real moments."""

@@ -19,13 +19,15 @@ below the cutoff by a hard cap on u, the inversion raises
 ``OscillatoryIntegrationError`` and names the gap or the tail size, and
 ``meta_ccdf(method="auto")`` falls back to the beta fit.
 
-The moments on that grid come from a radial profile: a Gauss-Legendre rule
-on the compactified half-line, doubled from 256 nodes until two rungs agree on
-probe orders; the coarser of the two agreeing rungs is kept, since the finer
-one has just confirmed it. All Gauss-Legendre nodes come from Newton's method
-on the Legendre recurrence, with no eigensolver. A moment at u = a + b, with
-a the start of u's panel, reuses the panel start's terms, so sin and cos run
-once per panel start and once per panel offset rather than once per u. The
+Moments of every order, real (the beta fit) or imaginary (the inversion), come
+from one radial profile: Gauss-Legendre rules in log r out to R (or to where
+the strongest interferer's SIR term falls to 1) and on a power map of the far
+tail, plus an exact origin-disk term. It is doubled from 256 nodes until two
+rungs agree on probe orders, and the coarser of the two is kept, since the
+finer one has just confirmed it. All Gauss-Legendre nodes come from Newton's
+method on the Legendre recurrence, with no eigensolver. A moment at u = a + b,
+with a the start of u's panel, reuses the panel start's terms, so sin and cos
+run once per panel start and once per panel offset rather than once per u. The
 sums over radial nodes that combine them are real matrix-vector products: a
 matrix-matrix product would start BLAS worker threads, which keep spinning
 after it returns and burn CPU time while Python runs.
@@ -69,18 +71,13 @@ _NEWTON_TOL = 1e-14
 _BLOCK_ENTRIES = 1 << 17
 _PANELS_PER_STEP = 32
 
-#: Adaptive panel rule: Gauss-Legendre nodes per panel on the coarse level
-#: (the fine level has twice as many), the relative error budget (callers
-#: give the absolute one), the most live panels, and the most bisections of
-#: a starting panel.
-_ADAPTIVE_NODES = 10
-_REL_TOL = 1e-10
-_MAX_LIVE_PANELS = 1024
-_MAX_DEPTH = 256
-_MAX_PANEL_EVALS = _MAX_LIVE_PANELS * (_MAX_DEPTH + 1)
-
-#: Real-order moments: absolute tolerance of each row's radial integral.
-_MOMENT_TOL = 1e-12
+#: Radial profile: nodes of each rung of the ladder, the probe gap relative to
+#: 1 + |log M| at which two rungs agree, (eps / min(R, r_s))^alpha for the
+#: origin disk r < eps, and the share of each rung's nodes on the far tail.
+_RUNGS = (256, 512, 1024, 2048, 4096)
+_RUNG_TOL = 1e-12
+_ORIGIN_RATIO = 1e-12
+_TAIL_SHARE = 4
 
 #: Variance below this is treated as a degenerate (point-mass) distribution.
 _DEGENERATE_VAR = 1e-14
@@ -111,8 +108,11 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     of P_n from Tricomi's guesses (1 - (n - 1) / (8 n^3)) cos(pi (4i - 1) /
     (4n + 2)), written as a sine so that the middle root of an odd n starts,
     and stays, at exactly 0; the negative half is their mirror image. The
-    weights are 2 / ((1 - x)(1 + x) P_n'(x)^2) at the converged roots. Raises
-    ``IntegrationError`` when a root has not settled within _NEWTON_STEPS.
+    weights are 2 / ((1 - x)(1 + x) P_n'(x)^2) at the converged roots, times
+    1 + 2x (P_n / P_n') / (1 - x^2), their first-order change over one more
+    Newton step: a weight's sensitivity to its node, 2x / (1 - x^2), peaks at
+    the ends. Raises ``IntegrationError`` when a root has not settled within
+    _NEWTON_STEPS.
     """
     j = np.arange(1 - n % 2, n, 2, dtype=float)
     x = (1.0 - (n - 1) / (8.0 * n**3)) * np.sin(math.pi * j / (2 * n + 1))
@@ -126,8 +126,9 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
         raise IntegrationError(
             f"{n}-point Gauss-Legendre roots did not settle in {_NEWTON_STEPS} Newton steps"
         )
-    _, dp = _legendre(n, x)
-    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    p, dp = _legendre(n, x)
+    one_minus_x2 = (1.0 - x) * (1.0 + x)
+    w = 2.0 / (one_minus_x2 * dp * dp) * (1.0 + 2.0 * x * (p / dp) / one_minus_x2)
     nodes = np.concatenate([-x[::-1], x[n % 2 :]])
     weights = np.concatenate([w[::-1], w[n % 2 :]])
     nodes.flags.writeable = False
@@ -144,77 +145,50 @@ def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p, n * (p_prev - x * p) / ((1.0 - x) * (1.0 + x))
 
 
-def _adaptive_gauss_legendre(f, edges, tol: float, what: str) -> float:
-    """Integral of f over [edges[0], edges[-1]] on composite Gauss-Legendre
-    panels, starting from the panels between consecutive ``edges``.
-
-    ``f`` maps an array of abscissas to an array of values. Each round
-    evaluates every live panel with n and 2n nodes in one call of ``f``. The
-    integral is the sum of the 2n-node values once the panels' level gaps
-    |I_2n - I_n| add up to at most the budget max(tol, _REL_TOL |integral|).
-    Otherwise a panel retires when its gap fits its share of the budget:
-    half of it split by width, plus half of it split evenly over the most
-    panels the rule can evaluate, so that a long chain of bisections toward
-    an endpoint singularity does not drag its neighbours along. Every other
-    live panel is bisected. Raises ``IntegrationError`` when the live panels
-    would exceed _MAX_LIVE_PANELS or the bisections _MAX_DEPTH.
-    """
-    n = _ADAPTIVE_NODES
-    coarse_x, coarse_w = _gauss_legendre(n)
-    fine_x, fine_w = _gauss_legendre(2 * n)
-    nodes = np.concatenate([coarse_x, fine_x])
-    edges = np.asarray(edges, dtype=float)
-    lo, hi = edges[:-1], edges[1:]
-    span = edges[-1] - edges[0]
-    done = done_gap = 0.0
-    for depth in range(_MAX_DEPTH + 1):
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        fx = f((mid[:, None] + half[:, None] * nodes).ravel()).reshape(lo.size, 3 * n)
-        fine = half * (fx[:, n:] @ fine_w)
-        gap = np.abs(fine - half * (fx[:, :n] @ coarse_w))
-        total = done + float(fine.sum())
-        budget = max(tol, _REL_TOL * abs(total))
-        live = gap > 0.5 * budget * ((hi - lo) / span + 1.0 / _MAX_PANEL_EVALS)
-        if done_gap + gap.sum() <= budget or not live.any():
-            return total
-        done += float(fine[~live].sum())
-        done_gap += float(gap[~live].sum())
-        if depth == _MAX_DEPTH or 2 * np.count_nonzero(live) > _MAX_LIVE_PANELS:
-            break
-        lo, mid, hi = lo[live], mid[live], hi[live]
-        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-    raise IntegrationError(
-        f"{what} did not converge: {np.count_nonzero(live)} panels still above their "
-        f"share of the tolerance after {depth} bisections"
-    )
-
-
 def _interference_discount(net, k, theta, r, q):
     """h(r) = sum_{t>=1} q_t s_t / (1 + s_t), s_t = theta (t/k) l(r)/l(R), in [0, 1].
 
     The per-interferer factor of the conditional success probability is
     1 - h(r). Writing it through the discount keeps the far tail structurally
     exact: rounding in the overlap weights must not leave a constant residue
-    in log(1 - h), where the compactified radial weights would amplify it.
+    in log(1 - h), where the far tail's radial weights would amplify it.
     """
-    ts = np.arange(1, k + 1, dtype=float)
-    ratio = np.atleast_1d(
-        np.asarray(net.pathloss.attenuation(r), dtype=float) / net.signal_attenuation()
-    )
-    scaled = theta * (ts / k)[:, None] * ratio[None, :]
+    scaled = _sir_scales(net, k, theta, r)
     # s / (1 + s) keeps its relative accuracy where s is tiny; it is 1 at
     # s = inf (power law toward the origin)
     frac = np.divide(scaled, 1.0 + scaled, out=np.ones_like(scaled), where=np.isfinite(scaled))
     return (q[1:, None] * frac).sum(axis=0)
 
 
+def _sir_scales(net, k, theta, r):
+    """s_t(r) = theta (t/k) l(r)/l(R), one row per overlap t = 1..k."""
+    ts = np.arange(1, k + 1, dtype=float)
+    ratio = np.atleast_1d(
+        np.asarray(net.pathloss.attenuation(r), dtype=float) / net.signal_attenuation()
+    )
+    return theta * (ts / k)[:, None] * ratio[None, :]
+
+
+def _log_survival(net, k, theta, r, q):
+    """log(1 - h(r)) at finite attenuations: log1p(-h) where h <= 1/2, else
+    log(q_0 + sum_t q_t / (1 + s_t)), which keeps a small 1 - h's digits."""
+    h = _interference_discount(net, k, theta, r, q)
+    survival = q[0] + (q[1:, None] / (1.0 + _sir_scales(net, k, theta, r))).sum(axis=0)
+    return np.where(h <= 0.5, np.log1p(-np.minimum(h, 0.5)), np.log(survival))
+
+
 class _RadialProfile:
     """Gauss-Legendre discretization of the moment exponent's radial integral
-    for one overlap law ``q`` (a row of ``window_overlap_table``).
+    int_0^inf (1 - (1 - h)^b) r dr for one overlap law ``q`` (a row of
+    ``window_overlap_table``).
 
-    The half-line is compactified with r = R tan(v); nodes are doubled until
-    the exponent stabilizes on real and imaginary probe orders, so one grid
+    The strongest interferer's s_k = theta l(r) / l(R) falls to 1 at r_s,
+    where imaginary orders oscillate. Three quarters of each rung's nodes sit
+    evenly in log r from eps to r_1 = max(R, r_s); the rest sit on the far
+    tail r = r_1 s^(-p), s in (0, 1], whose integrand ~ s^(p (alpha - 2) - 1)
+    stays bounded at s = 0. ``_disk`` integrates r < eps exactly, with
+    (eps / min(R, r_s))^alpha = _ORIGIN_RATIO. Nodes are doubled until the
+    exponent stabilizes on real and imaginary probe orders, so one grid
     serves every moment order requested afterwards. The profile also holds
     the inversion's u grid, built level by level on first use.
     """
@@ -223,46 +197,51 @@ class _RadialProfile:
 
     def __init__(self, net: NetworkParams, k: int, theta: float, q: np.ndarray):
         self.prefactor = 2.0 * math.pi * net.intensity
-        r_link = net.link_distance
+        r_link, alpha = net.link_distance, net.pathloss.alpha
         self._levels = [None] * _N_LEVELS
         self._tail = math.inf
+        cross = theta / net.signal_attenuation() - net.pathloss.c0
+        r_s = cross ** (1.0 / alpha) if cross > 0.0 else r_link
+        # the tail integrand's second power, s^(p (2 alpha - 2) - 1), sets the
+        # rule's accuracy: p = 1 / (alpha - 2) puts it >= 2 while alpha <= 4, and
+        # p = 2 / (alpha - 2) above 3 (near alpha = 2, r^2 would overflow)
+        p = (1.0 if alpha <= 4.0 else 2.0) / (alpha - 2.0)
+        r_1, eps = max(r_link, r_s), min(r_link, r_s) * _ORIGIN_RATIO ** (1.0 / alpha)
+        self._eps2, span = eps * eps, math.log(eps / r_1)
+        self._disk_log = float(_log_survival(net, k, theta, eps, q)[0])
+        self._disk_power = alpha if net.pathloss.c0 == 0.0 and q[0] == 0.0 else 0.0
         prev = None
-        for n_nodes in (256, 512, 1024, 2048, 4096):
-            nodes, weights = _gauss_legendre(n_nodes)
-            v = (nodes + 1.0) * (math.pi / 4.0)
-            w = weights * (math.pi / 4.0)
-            r = r_link * np.tan(v)
-            jac = r_link / np.cos(v) ** 2
-            discount = _interference_discount(net, k, theta, r, q)
-            with np.errstate(divide="ignore"):
-                log_factor = np.log1p(-discount)
-            if not np.all(np.isfinite(log_factor)):
-                # a discount of exactly 1 (power law, q_0 = 0) recurs on every
-                # finer rung, whose inner node only moves closer to the origin
-                break
-            self._log_factor, self._weight = rung = log_factor, w * r * jac
+        for n_nodes in _RUNGS:
+            s_near, w_near = _interval_rule(n_nodes - n_nodes // _TAIL_SHARE, 1.0)
+            s_far, w_far = _interval_rule(n_nodes // _TAIL_SHARE, 1.0)
+            near, far = r_1 * np.exp(span * s_near), r_1 * s_far**-p
+            self._log_factor = _log_survival(net, k, theta, np.concatenate([near, far]), q)
+            self._weight = np.concatenate([-span * w_near * near**2, p * w_far * far**2 / s_far])
             probes = np.array([self.log_moment(b) for b in self._PROBES])
-            if prev is not None and np.all(np.abs(probes - prev[0]) < 5e-8 * (1 + np.abs(probes))):
+            tol = _RUNG_TOL * (1 + np.abs(probes))
+            if prev is not None and np.all(np.abs(probes - prev[0]) <= tol):
                 # rung n confirms rung n / 2, which is then kept: it is
                 # accurate already and costs half as much per moment
                 self._log_factor, self._weight = prev[1]
                 return
-            prev = probes, rung
-        # only complex orders use the profile, so this is a failure of the
-        # inversion and meta_ccdf(method="auto") may fall back to beta
-        raise OscillatoryIntegrationError(
-            "radial moment integral did not converge on the node ladder"
-        )
+            prev = probes, (self._log_factor, self._weight)
+        # real orders read the profile too, so the beta fit cannot stand in
+        raise IntegrationError("radial moment integral did not converge on the node ladder")
 
     def log_moment(self, b: complex) -> complex:
         """Exponent of the order-b moment."""
-        if b == 0:
-            return 0.0
         # 1 - exp(b L) without cancellation on the far tail, where L is tiny
-        return self.prefactor * np.sum(np.expm1(b * self._log_factor) * self._weight)
+        weighted = np.sum(np.expm1(b * self._log_factor) * self._weight)
+        return self.prefactor * (weighted - self._disk(b))
 
     def moment(self, b: complex) -> complex:
         return np.exp(self.log_moment(b))
+
+    def _disk(self, b):
+        """int_0^eps (1 - (1 - h)^b) r dr = eps^2 / 2 - (1 - h(eps))^b eps^2 / (c b + 2),
+        exact for 1 - h ~ r^c: c = alpha under the power law with q_0 = 0, else
+        c = 0, as 1 - h is then flat on the disk to about _ORIGIN_RATIO."""
+        return self._eps2 * (0.5 - np.exp(b * self._disk_log) / (self._disk_power * b + 2.0))
 
     def _moment_polar(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """|M(ju)| and arg M(ju) at any real orders u >= 0: each u splits
@@ -280,10 +259,11 @@ class _RadialProfile:
         """|M(ju)| and arg M(ju) at u = a + b for every panel start a (rows)
         and offset b (columns).
 
-        M(ju) = exp(-prefactor G(u)) with G(u) = sum_r w_r (1 - e^{j u L_r}),
-        and G(a + b) = G(a) + sum_r w_r e^{j a L_r} (1 - e^{j b L_r}), so sin
-        and cos run on (starts + offsets) x R entries instead of on every
-        (u x R) entry. Each 1 - e^{jx} takes the half-angle form
+        M(ju) = exp(-prefactor (G(u) + D(ju))) with the disk term D (see
+        ``_disk``) and G(u) = sum_r w_r (1 - e^{j u L_r}). As
+        G(a + b) = G(a) + sum_r w_r e^{j a L_r} (1 - e^{j b L_r}), sin and cos
+        run on (starts + offsets) x R entries instead of on every (u x R)
+        entry. Each 1 - e^{jx} takes the half-angle form
         2 sin(x/2)^2 - 2j sin(x/2) cos(x/2), which does not cancel on the far
         tail, where x is tiny. The sums over r are real matrix-vector
         products, two per offset on a block of starts: a matrix-matrix
@@ -316,7 +296,8 @@ class _RadialProfile:
                 im = rot @ d_im[i]
                 g_re[block, i] += re[:n_rows] - im[n_rows:]
                 g_im[block, i] += im[:n_rows] + re[n_rows:]
-        return np.exp(-self.prefactor * g_re), -self.prefactor * g_im
+        disk = self._disk(1j * np.add.outer(starts, offsets))
+        return np.exp(-self.prefactor * (g_re + disk.real)), -self.prefactor * (g_im + disk.imag)
 
     def _inversion_level(self, level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Nodes u, weights w |M(ju)| / u and phases arg M(ju) of the
@@ -325,7 +306,7 @@ class _RadialProfile:
         finer levels reuse them.
         """
         if self._levels[level] is None:
-            offsets, w = _panel_rule(_PANEL_NODES << level)
+            offsets, w = _interval_rule(_PANEL_NODES << level, _PANEL_WIDTH)
             if level == 0:
                 amp, arg = self._grow_coarsest(offsets)
             else:
@@ -387,12 +368,11 @@ def _half_angle_products(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _panel_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets b in (0, _PANEL_WIDTH) and weights of the n-point
-    Gauss-Legendre rule on one u panel; the nodes are u = a + b for each
-    panel start a."""
+def _interval_rule(n: int, width: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on (0, width);
+    on a u panel the nodes are offsets b, and u = a + b for panel start a."""
     nodes, weights = _gauss_legendre(n)
-    half = 0.5 * _PANEL_WIDTH
+    half = 0.5 * width
     return half * (nodes + 1.0), half * weights
 
 
@@ -401,23 +381,13 @@ def _panel_starts(first: int, count: int) -> np.ndarray:
     return _PANEL_WIDTH * np.arange(first, first + count, dtype=float)
 
 
-def _per_distinct_row(table: np.ndarray, build) -> list:
-    """``build(q)`` for each row q of ``table``, evaluated once per distinct
-    row: contiguous windows s and n - k - s have equal rows."""
-    built = {}
-    for q in table:
-        if q.tobytes() not in built:
-            built[q.tobytes()] = build(q)
-    return [built[q.tobytes()] for q in table]
-
-
 @lru_cache(maxsize=64)
 def _profiles(net: NetworkParams, ba: BandwidthConfig, k: int, theta: float) -> tuple:
-    # parameter records are frozen, so one converged grid per overlap-table
-    # row serves all the moment orders and reliability thresholds
-    return tuple(
-        _per_distinct_row(window_overlap_table(ba, k), lambda q: _RadialProfile(net, k, theta, q))
-    )
+    # records are frozen, so one grid per distinct overlap-table row (windows
+    # s and n - k - s share one) serves every moment order and threshold x
+    rows, index = np.unique(window_overlap_table(ba, k), axis=0, return_inverse=True)
+    built = [_RadialProfile(net, k, theta, q) for q in rows]
+    return tuple(built[i] for i in index.ravel())
 
 
 def moment_b_k(
@@ -425,42 +395,15 @@ def moment_b_k(
 ) -> complex:
     """Order-b moment of the conditional success probability of a type-k link.
 
-    Real orders are integrated adaptively on the compactified half-line;
-    complex orders go through the converged radial grid, which tolerates the
-    oscillation that defeats generic adaptive rules. Either way the moment is
-    the mean over the rows of ``window_overlap_table``. Returns a float for
-    real orders and a complex number otherwise.
+    Every order reads the radial profiles, and the moment is the mean over
+    the rows of ``window_overlap_table``: a float for real orders and a
+    complex number otherwise.
     """
     theta = _check_theta(theta)
     k = _check_type(ba.n_chunks, k, "k")
     b = complex(b)
-    if b == 0:
-        return 1.0
-    if b.imag != 0.0:
-        return complex(np.mean([p.moment(b) for p in _profiles(net, ba, k, theta)]))
-
-    b_real = b.real
-    r_link = net.link_distance
-
-    def row_moment(q: np.ndarray) -> float:
-        def integrand(w: np.ndarray) -> np.ndarray:
-            # r = R cot(w) = R tan(pi/2 - w): the far tail sits at w -> 0,
-            # where the nodes keep their full relative precision
-            r = r_link / np.tan(w)
-            jac = r_link / np.sin(w) ** 2
-            # rounding in q may put h a hair above 1 where it should reach 1
-            h = np.minimum(_interference_discount(net, k, theta, r, q), 1.0)
-            # 1 - (1 - h)^b without cancellation on the far tail; 1 where
-            # h = 1 (power law, q_0 = 0, toward the origin)
-            with np.errstate(divide="ignore"):
-                return -np.expm1(b_real * np.log1p(-h)) * r * jac
-
-        value = _adaptive_gauss_legendre(
-            integrand, (0.0, math.pi / 2.0), _MOMENT_TOL, "moment quadrature"
-        )
-        return math.exp(-2.0 * math.pi * net.intensity * value)
-
-    return float(np.mean(_per_distinct_row(window_overlap_table(ba, k), row_moment)))
+    mean = np.mean([p.moment(b if b.imag else b.real) for p in _profiles(net, ba, k, theta)])
+    return complex(mean) if b.imag else float(mean)
 
 
 def meta_ccdf_gilpelaez(
@@ -614,7 +557,8 @@ def meta_ccdf(
     method: str = "gilpelaez",
 ) -> float:
     """Per-type ccdf with method selection: "gilpelaez", "beta", or "auto"
-    (inversion with beta fallback on oscillatory failure)."""
+    (inversion, with the beta fit where the inversion's u grid fails; a
+    radial profile that does not converge raises for every method)."""
     if method == "gilpelaez":
         return meta_ccdf_gilpelaez(net, ba, k, theta, x)
     if method == "beta":

@@ -21,8 +21,8 @@ from functools import lru_cache
 import numpy as np
 
 from .allocation import _check_type, window_overlap_table
-from .errors import DomainError
-from .metadist import _adaptive_gauss_legendre
+from .errors import DomainError, IntegrationError
+from .metadist import _gauss_legendre
 from .params import BandwidthConfig, NetworkParams, _check_real
 
 #: Throughput integrand below this level is treated as converged.
@@ -31,6 +31,16 @@ _INTEGRAND_FLOOR = 1e-10
 #: for vanishing interference, where the integral diverges.
 _Y_CAP = 512.0
 _ABS_TOL = 1e-8
+
+#: Adaptive panel rule: Gauss-Legendre nodes per panel on the coarse level
+#: (the fine level has twice as many), the relative error budget (callers
+#: give the absolute one), the most live panels, and the most bisections of
+#: a starting panel.
+_ADAPTIVE_NODES = 10
+_REL_TOL = 1e-10
+_MAX_LIVE_PANELS = 1024
+_MAX_DEPTH = 256
+_MAX_PANEL_EVALS = _MAX_LIVE_PANELS * (_MAX_DEPTH + 1)
 
 
 def _check_theta(theta: float) -> float:
@@ -181,6 +191,52 @@ def _rate_ccdf_quad(net: NetworkParams, ba: BandwidthConfig, k: int) -> Throughp
         s = -math.log(f_end)
         tail = f_end / (net.pathloss.delta * math.log(2.0) * max(s, 1.0))
     return ThroughputResult(value, tail, y_max, truncated)
+
+
+def _adaptive_gauss_legendre(f, edges, tol: float, what: str) -> float:
+    """Integral of f over [edges[0], edges[-1]] on composite Gauss-Legendre
+    panels, starting from the panels between consecutive ``edges``.
+
+    ``f`` maps an array of abscissas to an array of values. Each round
+    evaluates every live panel with n and 2n nodes in one call of ``f``. The
+    integral is the sum of the 2n-node values once the panels' level gaps
+    |I_2n - I_n| add up to at most the budget max(tol, _REL_TOL |integral|).
+    Otherwise a panel retires when its gap fits its share of the budget:
+    half of it split by width, plus half of it split evenly over the most
+    panels the rule can evaluate, so that a long chain of bisections toward
+    an endpoint singularity does not drag its neighbours along. Every other
+    live panel is bisected. Raises ``IntegrationError`` when the live panels
+    would exceed _MAX_LIVE_PANELS or the bisections _MAX_DEPTH.
+    """
+    n = _ADAPTIVE_NODES
+    coarse_x, coarse_w = _gauss_legendre(n)
+    fine_x, fine_w = _gauss_legendre(2 * n)
+    nodes = np.concatenate([coarse_x, fine_x])
+    edges = np.asarray(edges, dtype=float)
+    lo, hi = edges[:-1], edges[1:]
+    span = edges[-1] - edges[0]
+    done = done_gap = 0.0
+    for depth in range(_MAX_DEPTH + 1):
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        fx = f((mid[:, None] + half[:, None] * nodes).ravel()).reshape(lo.size, 3 * n)
+        fine = half * (fx[:, n:] @ fine_w)
+        gap = np.abs(fine - half * (fx[:, :n] @ coarse_w))
+        total = done + float(fine.sum())
+        budget = max(tol, _REL_TOL * abs(total))
+        live = gap > 0.5 * budget * ((hi - lo) / span + 1.0 / _MAX_PANEL_EVALS)
+        if done_gap + gap.sum() <= budget or not live.any():
+            return total
+        done += float(fine[~live].sum())
+        done_gap += float(gap[~live].sum())
+        if depth == _MAX_DEPTH or 2 * np.count_nonzero(live) > _MAX_LIVE_PANELS:
+            break
+        lo, mid, hi = lo[live], mid[live], hi[live]
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+    raise IntegrationError(
+        f"{what} did not converge: {np.count_nonzero(live)} panels still above their "
+        f"share of the tolerance after {depth} bisections"
+    )
 
 
 def _scaled(result: ThroughputResult, factor: float) -> ThroughputResult:

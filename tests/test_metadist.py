@@ -6,6 +6,7 @@ is the central cross-validation. mpmath tanh-sinh quadrature provides a third
 opinion on the moment integral itself.
 """
 
+import itertools
 import math
 
 import mpmath
@@ -13,8 +14,9 @@ import numpy as np
 import pytest
 
 from bwalloc import metadist
-from bwalloc.allocation import overlap_pmf_random
-from bwalloc.errors import DomainError, OscillatoryIntegrationError
+from bwalloc.allocation import overlap_pmf_random, window_overlap_table
+from bwalloc.cli import main
+from bwalloc.errors import DomainError, IntegrationError, OscillatoryIntegrationError
 from bwalloc.experiments import FIGURE_PRESETS
 from bwalloc.metadist import (
     beta_shape_parameters,
@@ -29,6 +31,8 @@ from bwalloc.params import AllocationMode, BandwidthConfig, NetworkParams, PathL
 
 BOUNDED = NetworkParams(0.2, 1.0, PathLossModel.bounded(4.0, 1.0))
 POWER_LAW = NetworkParams(0.2, 1.0, PathLossModel.power_law(4.0))
+BOUNDED_ALPHA25 = NetworkParams(0.2, 1.0, PathLossModel.bounded(2.5, 1.0))
+BOUNDED_ALPHA28 = NetworkParams(0.2, 1.0, PathLossModel.bounded(2.8, 1.0))
 UNIFORM3 = BandwidthConfig.uniform(3, power_per_chunk=2.0)
 CONTIGUOUS3 = BandwidthConfig.uniform(3, mode=AllocationMode.CONTIGUOUS, power_per_chunk=2.0)
 
@@ -68,23 +72,6 @@ def test_mirror_rows_share_one_profile(monkeypatch):
     profiles = metadist._profiles.__wrapped__(BOUNDED, ba, 1, THETA_MINUS5DB)
     assert len(built) == 5 and len(profiles) == 10
     assert all(profiles[s] is profiles[9 - s] for s in range(10))
-
-
-def test_mirror_rows_share_one_moment_quadrature(monkeypatch):
-    # a real order runs one adaptive quadrature per distinct row: 5 for the
-    # 10 typical windows of n = 10, k = 1
-    calls = []
-    quad = metadist._adaptive_gauss_legendre
-
-    def counting_quad(*args, **kwargs):
-        calls.append(args)
-        return quad(*args, **kwargs)
-
-    monkeypatch.setattr(metadist, "_adaptive_gauss_legendre", counting_quad)
-    ba = BandwidthConfig.uniform(10, mode=AllocationMode.CONTIGUOUS, power_per_chunk=2.0)
-    m2 = moment_b_k(BOUNDED, ba, 1, THETA_MINUS5DB, 2.0)
-    assert len(calls) == 5
-    assert 0.0 < m2 < moment_b_k(BOUNDED, ba, 1, THETA_MINUS5DB, 1.0) < 1.0
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -208,6 +195,58 @@ def test_real_moments_at_zero_q0_match_oracle(alpha):
     assert m2 == pytest.approx(_oracle_moment(net, 3, 1.0, 2.0).real, rel=1e-10)
 
 
+@pytest.mark.parametrize("c0", [0.0, 1.0], ids=["power-law", "bounded"])
+def test_real_moments_converge_at_alpha_near_two(c0):
+    # the far tail's integrand falls like r^(1 - alpha): r = R s^(-p) with
+    # p = 1 / (alpha - 2) keeps it bounded in s
+    for intensity in (0.001, 0.2, 5.0):
+        net = NetworkParams(intensity, 1.0, PathLossModel(2.05, c0))
+        m1 = moment_b_k(net, UNIFORM3, 1, 1.0, 1.0)
+        assert abs(m1 - success_prob_k(net, UNIFORM3, 1, 1.0)) <= 1e-12 * m1, intensity
+        assert m1 * m1 <= moment_b_k(net, UNIFORM3, 1, 1.0, 2.0) <= m1, intensity
+
+
+@pytest.mark.parametrize("c0", [0.0, 1.0], ids=["power-law", "bounded"])
+@pytest.mark.parametrize("alpha", [2.05, 2.2, 2.5, 3.0, 4.0, 6.0, 8.0, 12.0])
+def test_real_moments_on_the_domain_grid(alpha, c0):
+    # M_1 is the closed form, and M_2 in [M_1^2, M_1] (variance >= 0 and
+    # values in [0, 1]) at every point of the grid
+    random, contiguous = AllocationMode.RANDOM, AllocationMode.CONTIGUOUS
+    links = ((3, 1, random), (3, 3, random), (5, 2, contiguous), (5, 5, contiguous))
+    for intensity, theta in itertools.product((0.001, 0.2, 5.0), (0.1, 1.0, 10.0)):
+        net = NetworkParams(intensity, 1.0, PathLossModel(alpha, c0))
+        for n, k, mode in links:
+            ba = BandwidthConfig.uniform(n, mode=mode, power_per_chunk=2.0)
+            point = (intensity, theta, n, k, mode.value)
+            m1 = moment_b_k(net, ba, k, theta, 1.0)
+            assert abs(m1 - success_prob_k(net, ba, k, theta)) <= 1e-10 * m1, point
+            assert m1 * m1 <= moment_b_k(net, ba, k, theta, 2.0) <= m1, point
+
+
+@pytest.mark.parametrize(
+    "alpha, c0, k",
+    [(4.0, 0.0, 3), (12.0, 0.0, 3), (4.0, 0.0, 1), (12.0, 1.0, 3)],
+    ids=[
+        "power-law-alpha4-k3",
+        "power-law-alpha12-k3",
+        "power-law-alpha4-k1",
+        "bounded-alpha12-k3",
+    ],
+)
+def test_origin_disk_term_does_not_depend_on_the_disk(monkeypatch, alpha, c0, k):
+    # the disk r < eps adds an exact term: 1 - h ~ r^alpha there under the
+    # power law with q_0 = 0 (k = n), and 1 - h is flat otherwise; so moving
+    # the disk's edge from _ORIGIN_RATIO = 1e-12 to 1e-24 leaves every moment
+    # in place
+    net = NetworkParams(0.2, 1.0, PathLossModel(alpha, c0))
+    q = window_overlap_table(UNIFORM3, k)[0]
+    wide = metadist._RadialProfile(net, k, 1.0, q)
+    monkeypatch.setattr(metadist, "_ORIGIN_RATIO", 1e-24)
+    narrow = metadist._RadialProfile(net, k, 1.0, q)
+    for b in (2.0, 3j, 7j):
+        assert abs(wide.moment(b) - narrow.moment(b)) <= 1e-13, b
+
+
 def test_moment_inequalities():
     m1 = moment_b_k(BOUNDED, UNIFORM3, 2, 1.0, 1.0)
     m2 = moment_b_k(BOUNDED, UNIFORM3, 2, 1.0, 2.0)
@@ -278,8 +317,22 @@ def test_gilpelaez_matches_empirical_cdf_of_conditional_probability():
 
 @pytest.mark.parametrize(
     "net, theta, k",
-    [(BOUNDED, THETA_MINUS5DB, 1), (BOUNDED, 1.0, 2), (POWER_LAW, 1.0, 1)],
-    ids=["bounded--5dB-k1", "bounded-0dB-k2", "power-law-0dB-k1"],
+    [
+        (BOUNDED, THETA_MINUS5DB, 1),
+        (BOUNDED, 1.0, 2),
+        (POWER_LAW, 1.0, 1),
+        (BOUNDED_ALPHA25, 1.0, 1),
+        (BOUNDED_ALPHA28, 1.0, 1),
+        (POWER_LAW, 1.0, 3),
+    ],
+    ids=[
+        "bounded--5dB-k1",
+        "bounded-0dB-k2",
+        "power-law-0dB-k1",
+        "bounded-alpha2.5-0dB-k1",
+        "bounded-alpha2.8-0dB-k1",
+        "power-law-0dB-k3",
+    ],
 )
 def test_gilpelaez_reproduces_real_moments_and_is_nonincreasing(net, theta, k):
     # int_0^1 P(Ps > x) dx = E[Ps] and int_0^1 2x P(Ps > x) dx = E[Ps^2],
@@ -307,7 +360,8 @@ def _per_entry_polar(profile, u):
         s *= s
         amp[lo : lo + rows] = np.exp(-2.0 * profile.prefactor * (s @ profile._weight))
         arg[lo : lo + rows] = 2.0 * profile.prefactor * (c @ profile._weight)
-    return amp, arg
+    disk = profile._disk(1j * u)
+    return amp * np.exp(-profile.prefactor * disk.real), arg - profile.prefactor * disk.imag
 
 
 def _assert_polar_close(profile, u, amp, arg):
@@ -330,7 +384,7 @@ def test_panel_kernel_matches_per_entry_kernel(net, theta, k):
     (profile,) = metadist._profiles(net, UNIFORM3, k, theta)
     for level in range(metadist._N_LEVELS):
         u, coef, arg = profile._inversion_level(level)
-        _, w = metadist._panel_rule(metadist._PANEL_NODES << level)
+        _, w = metadist._interval_rule(metadist._PANEL_NODES << level, metadist._PANEL_WIDTH)
         _assert_polar_close(profile, u, coef * u / np.tile(w, u.size // w.size), arg)
     # any u >= 0, not only panel nodes: 0, panel edges and random reals
     edges = metadist._PANEL_WIDTH * np.arange(40.0)
@@ -339,7 +393,8 @@ def test_panel_kernel_matches_per_entry_kernel(net, theta, k):
 
 
 def test_fig3_profiles_keep_the_coarser_agreeing_rung(monkeypatch):
-    # rung 512 confirms rung 256, which the profile then keeps
+    # rung 512 (384 nodes on [eps, R], 128 on the far tail) confirms rung
+    # 256 (192 and 64), which the profile then keeps
     sizes = []
     rule = metadist._gauss_legendre
     monkeypatch.setattr(metadist, "_gauss_legendre", lambda n: sizes.append(n) or rule(n))
@@ -348,7 +403,7 @@ def test_fig3_profiles_keep_the_coarser_agreeing_rung(monkeypatch):
     for k in (1, 2, 3):
         sizes.clear()
         (profile,) = metadist._profiles.__wrapped__(spec.network, spec.bandwidth, k, theta)
-        assert sizes == [256, 512]
+        assert sizes == [192, 64, 384, 128]
         assert profile._log_factor.size == profile._weight.size == 256
 
 
@@ -372,15 +427,30 @@ def test_gilpelaez_reports_unresolved_oscillation():
     )
 
 
-def test_node_ladder_failure_falls_back_to_beta():
-    # power law with k = n: no interferer misses the typical chunks (q_0 = 0),
-    # log(1 - h) is -inf at the origin and the imaginary probes never settle
-    with pytest.raises(OscillatoryIntegrationError, match="node ladder"):
-        meta_ccdf_gilpelaez(POWER_LAW, UNIFORM3, 3, 1.0, 0.5)
-    assert meta_ccdf(POWER_LAW, UNIFORM3, 3, 1.0, 0.5, method="auto") == meta_ccdf_beta(
-        POWER_LAW, UNIFORM3, 3, 1.0, 0.5
-    )
+@pytest.mark.parametrize(
+    "net, k, expected, tol",
+    [(BOUNDED_ALPHA28, 1, 2.41e-4, 1e-6), (POWER_LAW, 3, 0.4836, 1e-4)],
+    ids=["bounded-alpha2.8-k1", "power-law-k3-q0-zero"],
+)
+def test_auto_inverts_near_alpha_two_and_at_zero_q0(net, k, expected, tol):
+    # the far tail near alpha = 2 and the origin at q_0 = 0 (k = n under the
+    # power law, 1 - h ~ r^alpha) both converge on the radial ladder
+    value = meta_ccdf_gilpelaez(net, UNIFORM3, k, 1.0, 0.5)
+    assert value == pytest.approx(expected, abs=tol)
+    assert meta_ccdf(net, UNIFORM3, k, 1.0, 0.5, method="auto") == value
+
+
+def test_node_ladder_failure_raises_integration_error(monkeypatch, tmp_path):
+    # the beta fit reads the same radial profile, so it cannot stand in for
+    # a ladder that never settles; one rung has no partner to confirm it.
+    # Failed builds are not cached, so the cache stays clean.
     assert meta_ccdf_beta(POWER_LAW, UNIFORM3, 3, 1.0, 0.5) == pytest.approx(0.44201, abs=1e-5)
+    monkeypatch.setattr(metadist, "_RUNGS", (256,))
+    metadist._profiles.cache_clear()
+    with pytest.raises(IntegrationError, match="node ladder") as failure:
+        meta_ccdf(POWER_LAW, UNIFORM3, 3, 1.0, 0.5, method="auto")
+    assert not isinstance(failure.value, OscillatoryIntegrationError)
+    assert main(["meta-dist", "--out", str(tmp_path / "meta.csv")]) == 2
 
 
 def test_beta_endpoints_and_mean():

@@ -161,10 +161,10 @@ def kink(x):
 def test_adaptive_rule_is_exact_on_polynomials_and_bisects_kinks():
     # a 20-node panel integrates degree 39 exactly; |x - 1/3| needs bisection
     # down to the budget max(tol, _REL_TOL * |integral|)
-    value = metadist._adaptive_gauss_legendre(lambda x: x**7 - 3 * x, (0.0, 2.0), 1e-12, "test")
+    value = metrics._adaptive_gauss_legendre(lambda x: x**7 - 3 * x, (0.0, 2.0), 1e-12, "test")
     assert value == pytest.approx(2.0**8 / 8 - 6.0, abs=1e-12)
-    value = metadist._adaptive_gauss_legendre(kink, (0.0, 1.0), 1e-12, "test")
-    assert value == pytest.approx(5 / 18, rel=metadist._REL_TOL)
+    value = metrics._adaptive_gauss_legendre(kink, (0.0, 1.0), 1e-12, "test")
+    assert value == pytest.approx(5 / 18, rel=metrics._REL_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +194,24 @@ def test_gauss_legendre_integrates_its_highest_even_power(n, rel):
     assert abs(weights @ nodes ** (2 * n - 2) - exact) <= rel * exact
 
 
+@pytest.mark.parametrize("n, rel", [(512, 1e-12), (4096, 1e-11)])
+def test_gauss_legendre_end_weight_matches_mpmath(n, rel):
+    # the end weight is the most sensitive to its node's rounding; the
+    # reference root comes from Newton's method at 40 digits
+    nodes, weights = metadist._gauss_legendre(n)
+    with mpmath.workdps(40):
+        x = mpmath.mpf(float(nodes[-1]))
+        for _ in range(3):
+            p_prev, p = mpmath.mpf(1), x
+            for k in range(1, n):
+                p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+            dp = n * (p_prev - x * p) / (1 - x * x)
+            x -= p / dp
+        weight = 2 / ((1 - x * x) * dp * dp)
+        assert abs(nodes[-1] - x) <= 1e-16
+        assert abs(weights[-1] / weight - 1) <= rel
+
+
 def test_gauss_legendre_refuses_unsettled_roots(monkeypatch):
     monkeypatch.setattr(metadist, "_NEWTON_STEPS", 1)
     with pytest.raises(IntegrationError, match="did not settle in 1 Newton steps"):
@@ -220,14 +238,12 @@ def test_no_eigensolver_behind_any_preset(monkeypatch):
 def test_panel_cap_raises_integration_error(monkeypatch, tmp_path):
     # with one live panel at most, any bisection reaches the cap; at
     # lambda = 0.001 the rate integral needs one
-    monkeypatch.setattr(metadist, "_MAX_LIVE_PANELS", 1)
+    monkeypatch.setattr(metrics, "_MAX_LIVE_PANELS", 1)
     metrics._rate_ccdf_quad.cache_clear()
     net = NetworkParams(0.001, 1.0, PathLossModel.bounded(4.0, 1.0))
     ba = BandwidthConfig.uniform(3)
     with pytest.raises(IntegrationError, match="throughput quadrature did not converge"):
         metrics.shannon_throughput_k(net, ba, 1)
-    with pytest.raises(IntegrationError, match="moment quadrature did not converge"):
-        metadist.moment_b_k(net, ba, 1, 1.0, 2.0)
     # the CLI reports a numerical failure with exit code 2
     assert main(["throughput", "--sweep", "0.001:0.002:2", "--out", str(tmp_path / "t.csv")]) == 2
     metrics._rate_ccdf_quad.cache_clear()
@@ -235,9 +251,9 @@ def test_panel_cap_raises_integration_error(monkeypatch, tmp_path):
 
 def test_depth_cap_raises_integration_error(monkeypatch):
     # a kink that no panel edge hits needs bisections without end
-    monkeypatch.setattr(metadist, "_MAX_DEPTH", 3)
+    monkeypatch.setattr(metrics, "_MAX_DEPTH", 3)
     with pytest.raises(IntegrationError, match="after 3 bisections"):
-        metadist._adaptive_gauss_legendre(kink, (0.0, 1.0), 1e-12, "test")
+        metrics._adaptive_gauss_legendre(kink, (0.0, 1.0), 1e-12, "test")
 
 
 # ---------------------------------------------------------------------------
