@@ -6,6 +6,12 @@ with sections (see ``render_config``); every CSV starts with that text as
 comment lines, so a result file re-parses to the exact experiment that
 produced it.
 
+A table is a list of named columns over the sweep, and ``_TABLES`` picks it by
+metric and sweep variable. A closed-form table supplies ``column(ba, k)``, type
+k's values over the whole sweep on bandwidth ``ba``, computed once per
+(bandwidth, type); an overall or ``compare_mixes`` series is ``ba.mix_average``
+of those columns at each point.
+
 Thresholds cross this layer in dB; the library itself works on linear scale.
 """
 
@@ -16,6 +22,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cache
 from operator import attrgetter
 
 import numpy as np
@@ -25,12 +32,9 @@ from .meanmodel import match_mean_model
 from .metadist import meta_ccdf
 from .metrics import (
     shannon_throughput_k,
-    shannon_throughput_overall,
     shannon_throughput_per_hz_k,
     shannon_throughput_per_joule_k,
-    shannon_throughput_per_joule_overall,
     success_prob_k,
-    success_prob_overall,
 )
 from .params import (
     AllocationMode,
@@ -142,32 +146,23 @@ class ExperimentSpec:
             )
         var = self.sweep.variable
         metric = self.metric
-        if metric is Metric.META_DIST:
-            if var is not SweepVariable.X:
-                raise ConfigError("meta_dist sweeps the reliability threshold x")
-            if self.theta_db is None:
-                raise ConfigError("meta_dist needs theta_db")
-        elif metric in (Metric.SUCCESS_PROB, Metric.SIMULATE):
-            if var is not SweepVariable.THETA_DB:
-                raise ConfigError(f"{metric.value} sweeps theta_db")
-        elif metric is Metric.THROUGHPUT:
-            if var not in (SweepVariable.LAMBDA, SweepVariable.K):
-                raise ConfigError(f"{metric.value} sweeps lambda or k")
-            if var is SweepVariable.K:
-                n = self.bandwidth.n_chunks
-                for v in self.sweep.values():
-                    if abs(v - round(v)) > 1e-9 or not 1 <= round(v) <= n:
-                        raise ConfigError(f"k sweep value {v:g} is not a type in [1, {n}]")
-        elif metric is Metric.MEAN_MODEL:
+        tables = _TABLES[metric]
+        if var not in tables:
+            raise ConfigError(f"{metric.value} sweeps {' or '.join(v.value for v in tables)}")
+        if metric is Metric.META_DIST and self.theta_db is None:
+            raise ConfigError("meta_dist needs theta_db")
+        if metric is Metric.THROUGHPUT and var is SweepVariable.K:
+            n = self.bandwidth.n_chunks
+            for v in self.sweep.values():
+                if abs(v - round(v)) > 1e-9 or not 1 <= round(v) <= n:
+                    raise ConfigError(f"k sweep value {v:g} is not a type in [1, {n}]")
+        if metric is Metric.MEAN_MODEL:
             if self.alt_type_probs is None:
                 raise ConfigError("mean_model needs alt_type_probs")
             if len(self.alt_type_probs) != self.bandwidth.n_chunks:
                 raise ConfigError("alt_type_probs must match n_chunks")
-            if self.mean_model_metric == "success_prob":
-                if var is not SweepVariable.THETA_DB:
-                    raise ConfigError("mean_model success_prob sweeps theta_db")
-            elif var is not SweepVariable.LAMBDA:
-                raise ConfigError("mean_model throughput sweeps lambda")
+            if (self.mean_model_metric == "success_prob") != (var is SweepVariable.THETA_DB):
+                raise ConfigError("mean_model success_prob sweeps theta_db, throughput lambda")
         if self.compare_modes and var is not SweepVariable.K:
             raise ConfigError("compare_modes applies only to k sweeps")
         if self.compare_mixes is not None:
@@ -352,10 +347,6 @@ def parse_config(text: str, base: ExperimentSpec | None = None) -> ExperimentSpe
 # sweep evaluation
 
 
-def _type_range(ba: BandwidthConfig) -> range:
-    return range(1, ba.n_chunks + 1)
-
-
 def _mix_name(mix: tuple[float, ...], j: int) -> str:
     if len(set(mix)) == 1:
         return "uniform"
@@ -363,193 +354,160 @@ def _mix_name(mix: tuple[float, ...], j: int) -> str:
     return f"only_type_{nonzero[0]}" if len(nonzero) == 1 else f"mix_{j}"
 
 
-def _series(spec: ExperimentSpec):
-    """(column suffix, bandwidth, type) for each output series; type None is
-    the average over the bandwidth's type mix."""
+def _cells(spec: ExperimentSpec):
+    """(name, bandwidth, type) of each series of a success, lambda or
+    simulate table; type None is the average over the bandwidth's type mix."""
     ba = spec.bandwidth
     if spec.compare_mixes is None:
-        return [(f"type_{k}", ba, k) for k in _type_range(ba)] + [("overall", ba, None)]
+        return [(f"type_{k}", ba, k) for k in range(1, ba.n_chunks + 1)] + [("overall", ba, None)]
     return [
         (_mix_name(mix, j), replace(ba, type_probs=mix), None)
         for j, mix in enumerate(spec.compare_mixes, start=1)
     ]
 
 
-def _evaluate(per_type, overall, net, ba, k, *args):
-    """``per_type`` at type k, or ``overall`` when k is None."""
-    return overall(net, ba, *args) if k is None else per_type(net, ba, k, *args)
+def _columns(value, points):
+    """column(ba, k): ``value(ba, k, p)`` at each sweep point p, computed
+    once per (bandwidth, type)."""
+    return cache(lambda ba, k: [value(ba, k, p) for p in points])
+
+
+def _mix_column(ba: BandwidthConfig, column, points: int) -> list:
+    """``ba.mix_average`` of the type columns ``column(ba, k)`` at each of
+    the sweep's points; ``column`` is read once per point, so it comes
+    cached from ``_columns``."""
+    return [ba.mix_average(lambda k: column(ba, k)[j]) for j in range(points)]
+
+
+def _series(spec: ExperimentSpec, prefix: str, column):
+    """(prefix + name, values) of each series of ``_cells``: a type's
+    column, or the average of the columns over a mix."""
+    points = spec.sweep.points
+    return [
+        (prefix + name, column(ba, k) if k is not None else _mix_column(ba, column, points))
+        for name, ba, k in _cells(spec)
+    ]
+
+
+def _table(*columns):
+    """(header, rows) of (name, values) columns."""
+    return [name for name, _ in columns], [list(row) for row in zip(*(v for _, v in columns))]
+
+
+def _success_columns(net: NetworkParams, thetas):
+    """column(ba, k): ``success_prob_k`` on ``net`` at each threshold."""
+    return _columns(lambda ba, k, theta: success_prob_k(net, ba, k, theta), thetas)
 
 
 def _success_table(spec: ExperimentSpec):
-    net, series = spec.network, _series(spec)
-    header = ["theta_db"] + [f"ps_{name}" for name, _, _ in series]
-
-    def row(theta_db: float):
-        theta = db_to_linear(theta_db)
-        return [theta_db] + [
-            _evaluate(success_prob_k, success_prob_overall, net, ba, k, theta)
-            for _, ba, k in series
-        ]
-
-    return header, [row(v) for v in spec.sweep.values()]
+    theta_dbs = spec.sweep.values()
+    column = _success_columns(spec.network, [db_to_linear(v) for v in theta_dbs])
+    return _table(("theta_db", theta_dbs), *_series(spec, "ps_", column))
 
 
 def _meta_table(spec: ExperimentSpec):
-    net, ba = spec.network, spec.bandwidth
+    net, xs = spec.network, spec.sweep.values()
     theta = db_to_linear(spec.theta_db)
-    header = (
-        ["x", "theta_db"]
-        + [f"meta_type_{k}" for k in _type_range(ba)]
-        + ["meta_overall"]
+    column = _columns(lambda ba, k, x: meta_ccdf(net, ba, k, theta, x, method="auto"), xs)
+    return _table(
+        ("x", xs), ("theta_db", [spec.theta_db] * len(xs)), *_series(spec, "meta_", column)
     )
 
-    def row(x: float):
-        per_type = [meta_ccdf(net, ba, k, theta, x, method="auto") for k in _type_range(ba)]
-        overall = ba.mix_average(lambda k: per_type[k - 1])
-        return [x, spec.theta_db, *per_type, overall]
 
-    return header, [row(v) for v in spec.sweep.values()]
+def _view_columns(view, nets):
+    """column(ba, k): the throughput ``view(net, ba, k)`` on each network."""
+    return _columns(lambda ba, k, net: view(net, ba, k).value, nets)
 
 
 def _throughput_lambda_table(spec: ExperimentSpec):
-    series = _series(spec)
-    header = (
-        ["lambda"]
-        + [f"rate_{name}" for name, _, _ in series]
-        + [f"rate_per_joule_{name}" for name, _, _ in series]
+    lams = spec.sweep.values()
+    nets = [replace(spec.network, intensity=lam) for lam in lams]
+    return _table(
+        ("lambda", lams),
+        *_series(spec, "rate_", _view_columns(shannon_throughput_k, nets)),
+        *_series(spec, "rate_per_joule_", _view_columns(shannon_throughput_per_joule_k, nets)),
     )
-
-    def row(lam: float):
-        net = replace(spec.network, intensity=lam)
-        rates = [
-            _evaluate(shannon_throughput_k, shannon_throughput_overall, net, ba, k).value
-            for _, ba, k in series
-        ]
-        joules = [
-            _evaluate(
-                shannon_throughput_per_joule_k, shannon_throughput_per_joule_overall, net, ba, k
-            ).value
-            for _, ba, k in series
-        ]
-        return [lam, *rates, *joules]
-
-    return header, [row(v) for v in spec.sweep.values()]
 
 
 def _throughput_type_table(spec: ExperimentSpec):
     net, ba = spec.network, spec.bandwidth
     ks = [int(round(v)) for v in spec.sweep.values()]
+    views = [("rate", shannon_throughput_k), ("rate_per_hz", shannon_throughput_per_hz_k)]
     if spec.compare_modes:
-        header = [
-            "k",
-            "rate_random",
-            "rate_contiguous",
-            "rate_per_hz_random",
-            "rate_per_hz_contiguous",
+        cells = [
+            (f"{name}_{mode.value}", view, replace(ba, mode=mode))
+            for name, view in views
+            for mode in AllocationMode
         ]
-        random_ba = replace(ba, mode=AllocationMode.RANDOM)
-        contig_ba = replace(ba, mode=AllocationMode.CONTIGUOUS)
-
-        def row(k: int):
-            return [
-                float(k),
-                shannon_throughput_k(net, random_ba, k).value,
-                shannon_throughput_k(net, contig_ba, k).value,
-                shannon_throughput_per_hz_k(net, random_ba, k).value,
-                shannon_throughput_per_hz_k(net, contig_ba, k).value,
-            ]
-
     else:
-        header = ["k", "rate", "rate_per_hz", "rate_per_joule"]
-
-        def row(k: int):
-            return [
-                float(k),
-                shannon_throughput_k(net, ba, k).value,
-                shannon_throughput_per_hz_k(net, ba, k).value,
-                shannon_throughput_per_joule_k(net, ba, k).value,
-            ]
-
-    return header, [row(k) for k in ks]
+        views.append(("rate_per_joule", shannon_throughput_per_joule_k))
+        cells = [(name, view, ba) for name, view in views]
+    return _table(
+        ("k", [float(k) for k in ks]),
+        *[(name, [view(net, cell_ba, k).value for k in ks]) for name, view, cell_ba in cells],
+    )
 
 
 def _mean_model_table(spec: ExperimentSpec):
-    net, ba = spec.network, spec.bandwidth
+    net, ba, values, points = spec.network, spec.bandwidth, spec.sweep.values(), spec.sweep.points
     matched = match_mean_model(net, ba, spec.alt_type_probs)
-    alt_ba = matched.bandwidth
-    intensity_ratio = matched.intensity / net.intensity
-
     if spec.mean_model_metric == "success_prob":
-        header = ["theta_db", "ps_base", "ps_alt", "matched_power", "matched_intensity"]
-
-        def row(theta_db: float):
-            theta = db_to_linear(theta_db)
-            return [
-                theta_db,
-                success_prob_overall(net, ba, theta),
-                success_prob_overall(matched.network, alt_ba, theta),
-                matched.power,
-                matched.intensity,
-            ]
-
+        value_name = "ps"
+        alt_intensities = [matched.intensity] * points
+        thetas = [db_to_linear(v) for v in values]
+        base, alt = (_success_columns(side, thetas) for side in (net, matched.network))
     else:
-        per_joule = spec.mean_model_metric == "throughput_per_joule"
-        value_name = "rate_per_joule" if per_joule else "rate"
-        header = [
-            "lambda",
-            f"{value_name}_base",
-            f"{value_name}_alt",
-            "matched_power",
-            "matched_intensity",
-        ]
-
-        def row(lam: float):
-            base_net = replace(net, intensity=lam)
-            alt_net = replace(net, intensity=lam * intensity_ratio)
-            if per_joule:
-                base_val = shannon_throughput_per_joule_overall(base_net, ba).value
-                alt_val = shannon_throughput_per_joule_overall(alt_net, alt_ba).value
-            else:
-                base_val = shannon_throughput_overall(base_net, ba).value
-                alt_val = shannon_throughput_overall(alt_net, alt_ba).value
-            return [lam, base_val, alt_val, matched.power, lam * intensity_ratio]
-
-    return header, [row(v) for v in spec.sweep.values()]
+        value_name, view = {
+            "throughput": ("rate", shannon_throughput_k),
+            "throughput_per_joule": ("rate_per_joule", shannon_throughput_per_joule_k),
+        }[spec.mean_model_metric]
+        ratio = matched.intensity / net.intensity
+        alt_intensities = [lam * ratio for lam in values]
+        base, alt = (
+            _view_columns(view, [replace(net, intensity=lam) for lam in intensities])
+            for intensities in (values, alt_intensities)
+        )
+    return _table(
+        (spec.sweep.variable.value, values),
+        (f"{value_name}_base", _mix_column(ba, base, points)),
+        (f"{value_name}_alt", _mix_column(matched.bandwidth, alt, points)),
+        ("matched_power", [matched.power] * points),
+        ("matched_intensity", alt_intensities),
+    )
 
 
 def _simulate_table(spec: ExperimentSpec):
-    net, sim, series = spec.network, spec.sim, _series(spec)
-    theta_dbs = list(spec.sweep.values())
+    """Like the success table, but each series is a ``success_prob_curve``;
+    an overall series draws the typical user's type per realization."""
+    net, sim, theta_dbs = spec.network, spec.sim, spec.sweep.values()
     thetas = [db_to_linear(db) for db in theta_dbs]
-    header = ["theta_db"]
-    for name, _, _ in series:
-        header += [f"sim_ps_{name}", f"se_{name}"]
-    columns = [success_prob_curve(net, ba, sim, k, thetas) for _, ba, k in series]
+    columns = [("theta_db", theta_dbs)]
+    for name, ba, k in _cells(spec):
+        curve = success_prob_curve(net, ba, sim, k, thetas)
+        columns.append((f"sim_ps_{name}", [estimate.value for estimate in curve]))
+        columns.append((f"se_{name}", [estimate.std_error for estimate in curve]))
+    return _table(*columns)
 
-    rows = []
-    for j, theta_db in enumerate(theta_dbs):
-        row = [theta_db]
-        for column in columns:
-            row += [column[j].value, column[j].std_error]
-        rows.append(row)
-    return header, rows
+
+#: The table of each metric, by the variable that it sweeps.
+_TABLES = {
+    Metric.SUCCESS_PROB: {SweepVariable.THETA_DB: _success_table},
+    Metric.META_DIST: {SweepVariable.X: _meta_table},
+    Metric.THROUGHPUT: {
+        SweepVariable.LAMBDA: _throughput_lambda_table,
+        SweepVariable.K: _throughput_type_table,
+    },
+    Metric.MEAN_MODEL: {
+        SweepVariable.THETA_DB: _mean_model_table,
+        SweepVariable.LAMBDA: _mean_model_table,
+    },
+    Metric.SIMULATE: {SweepVariable.THETA_DB: _simulate_table},
+}
 
 
 def run_experiment(spec: ExperimentSpec):
     """Evaluate the sweep; returns (header, rows)."""
-    if spec.metric is Metric.SUCCESS_PROB:
-        return _success_table(spec)
-    if spec.metric is Metric.META_DIST:
-        return _meta_table(spec)
-    if spec.metric is Metric.THROUGHPUT:
-        if spec.sweep.variable is SweepVariable.K:
-            return _throughput_type_table(spec)
-        return _throughput_lambda_table(spec)
-    if spec.metric is Metric.MEAN_MODEL:
-        return _mean_model_table(spec)
-    if spec.metric is Metric.SIMULATE:
-        return _simulate_table(spec)
-    raise ConfigError(f"unsupported metric {spec.metric}")
+    return _TABLES[spec.metric][spec.sweep.variable](spec)
 
 
 # ---------------------------------------------------------------------------

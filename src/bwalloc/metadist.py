@@ -243,16 +243,6 @@ class _RadialProfile:
         c = 0, as 1 - h is then flat on the disk to about _ORIGIN_RATIO."""
         return self._eps2 * (0.5 - np.exp(b * self._disk_log) / (self._disk_power * b + 2.0))
 
-    def _moment_polar(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """|M(ju)| and arg M(ju) at any real orders u >= 0: each u splits
-        exactly into its panel start a and offset b = u - a, and the distinct
-        ones go through ``_polar_grid``."""
-        start = _PANEL_WIDTH * np.floor(u / _PANEL_WIDTH)
-        starts, row = np.unique(start, return_inverse=True)
-        offsets, col = np.unique(u - start, return_inverse=True)
-        amp, arg = self._polar_grid(starts, offsets)
-        return amp[row, col], arg[row, col]
-
     def _polar_grid(
         self, starts: np.ndarray, offsets: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bwalloc import metrics
+from bwalloc import experiments, metrics
 from bwalloc.cli import _spec_from_args, build_parser, main
 from bwalloc.errors import ConfigError
 from bwalloc.experiments import (
@@ -27,6 +27,7 @@ from bwalloc.experiments import (
     run_experiment,
     run_figure,
 )
+from bwalloc.metadist import meta_ccdf_overall
 from bwalloc.metrics import success_prob_k, success_prob_overall
 from bwalloc.params import AllocationMode, BandwidthConfig, NetworkParams, PathLossModel
 from bwalloc.simulate import SimConfig
@@ -125,8 +126,78 @@ def test_success_prob_rows_match_library():
     net, ba = default_network(), default_bandwidth()
     for row in rows:
         theta = db_to_linear(row[0])
-        assert row[1] == pytest.approx(success_prob_k(net, ba, 1, theta), rel=1e-12)
-        assert row[4] == pytest.approx(success_prob_overall(net, ba, theta), rel=1e-12)
+        assert row[1:4] == [success_prob_k(net, ba, k, theta) for k in (1, 2, 3)]
+        assert row[4] == success_prob_overall(net, ba, theta)
+
+
+def test_meta_overall_column_matches_library():
+    spec = ExperimentSpec(
+        Metric.META_DIST, SweepSpec(SweepVariable.X, 0.2, 0.8, 3), theta_db=-5.0
+    )
+    header, rows = run_experiment(spec)
+    assert header[-1] == "meta_overall"
+    net, ba, theta = spec.network, spec.bandwidth, db_to_linear(-5.0)
+    for row in rows:
+        assert row[-1] == meta_ccdf_overall(net, ba, theta, row[0], method="auto")
+
+
+@pytest.mark.parametrize("mixes", [None, ((0.0, 1.0, 0.0), (0.2, 0.3, 0.5))])
+def test_lambda_overall_columns_match_library(mixes):
+    spec = ExperimentSpec(
+        Metric.THROUGHPUT,
+        SweepSpec(SweepVariable.LAMBDA, 0.05, 1.0, 3, scale="log"),
+        network=NetworkParams(0.2, 1.0, PathLossModel.power_law(4.0)),
+        compare_mixes=mixes,
+    )
+    header, rows = run_experiment(spec)
+    if mixes is None:
+        bands = {"overall": spec.bandwidth}
+    else:
+        bands = {
+            name: BandwidthConfig(3, mix, power_per_chunk=2.0)
+            for name, mix in zip(("only_type_2", "mix_2"), mixes)
+        }
+    for row in rows:
+        net = NetworkParams(row[0], 1.0, spec.network.pathloss)
+        for name, ba in bands.items():
+            rate = row[header.index(f"rate_{name}")]
+            per_joule = row[header.index(f"rate_per_joule_{name}")]
+            assert rate == metrics.shannon_throughput_overall(net, ba).value
+            assert per_joule == metrics.shannon_throughput_per_joule_overall(net, ba).value
+
+
+def _count_calls(monkeypatch, name):
+    """Count the calls of metrics.<name> through every module that binds it."""
+    calls = []
+    original = getattr(metrics, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (metrics, experiments):
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_success_table_computes_each_type_column_once(monkeypatch):
+    calls = _count_calls(monkeypatch, "success_prob_k")
+    _, rows = run_experiment(_spec(sweep=SweepSpec(SweepVariable.THETA_DB, -20.0, 20.0, 41)))
+    assert len(rows) == 41
+    # one call per (type, threshold); the overall column reuses them
+    assert len(calls) == 3 * 41
+
+
+def test_lambda_table_computes_each_type_column_once(monkeypatch):
+    rates = _count_calls(monkeypatch, "shannon_throughput_k")
+    per_joule = _count_calls(monkeypatch, "shannon_throughput_per_joule_k")
+    spec = ExperimentSpec(
+        Metric.THROUGHPUT,
+        SweepSpec(SweepVariable.LAMBDA, 0.1, 1.0, 4, scale="log"),
+        bandwidth=BandwidthConfig.uniform(4, power_per_chunk=2.0),
+    )
+    run_experiment(spec)
+    assert len(rates) == len(per_joule) == 4 * 4
 
 
 def test_meta_rows():

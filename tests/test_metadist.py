@@ -386,10 +386,13 @@ def test_panel_kernel_matches_per_entry_kernel(net, theta, k):
         u, coef, arg = profile._inversion_level(level)
         _, w = metadist._interval_rule(metadist._PANEL_NODES << level, metadist._PANEL_WIDTH)
         _assert_polar_close(profile, u, coef * u / np.tile(w, u.size // w.size), arg)
-    # any u >= 0, not only panel nodes: 0, panel edges and random reals
-    edges = metadist._PANEL_WIDTH * np.arange(40.0)
-    u = np.concatenate([edges, np.random.default_rng(3).uniform(0.0, edges[-1], 200)])
-    _assert_polar_close(profile, u, *profile._moment_polar(u))
+    # any u >= 0, not only panel nodes: 40 panel starts against the offset 0
+    # and random offsets within a panel
+    starts = metadist._PANEL_WIDTH * np.arange(40.0)
+    offsets = np.append(0.0, np.random.default_rng(3).uniform(0.0, metadist._PANEL_WIDTH, 200))
+    amp, arg = profile._polar_grid(starts, offsets)
+    u = np.add.outer(starts, offsets).ravel()
+    _assert_polar_close(profile, u, amp.ravel(), arg.ravel())
 
 
 def test_fig3_profiles_keep_the_coarser_agreeing_rung(monkeypatch):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from bwalloc.errors import DomainError
 from bwalloc.metrics import (
+    _rate_ccdf_quad,
     bounded_interference_constant,
     interference_constant,
     shannon_throughput_k,
@@ -27,7 +28,7 @@ from bwalloc.metrics import (
     success_prob_ki,
     success_prob_overall,
 )
-from bwalloc.allocation import overlap_pmf_random
+from bwalloc.allocation import overlap_pmf_random, window_overlap_table
 from bwalloc.params import AllocationMode, BandwidthConfig, NetworkParams, PathLossModel
 
 POWER_LAW = NetworkParams(0.2, 1.0, PathLossModel.power_law(4.0))
@@ -313,6 +314,34 @@ def test_throughput_matches_independent_quadrature(k):
     assert result.value == pytest.approx(oracle, rel=1e-7)
     assert not result.truncated
     assert result.tail_bound < 1e-9
+
+
+def _oracle_rate_integral_power_law(lam: float, ba: BandwidthConfig, k: int) -> float:
+    """I_k under the power law with alpha = 4, via mpmath: each row s of the
+    window overlap table gives P(SIR > theta) = exp(-C_s theta^delta), so
+    I_k = (1 / ln 2) mean_s int_0^inf exp(-C_s theta^delta) / (1 + theta) dtheta.
+    The breakpoints bracket the decay scale C_s^(-1/delta)."""
+    delta = mpmath.mpf(1) / 2
+    constant = lam * mpmath.pi * mpmath.gamma(1 + delta) * mpmath.gamma(1 - delta)
+    rows = window_overlap_table(ba, k)
+    total = 0
+    for row in rows:
+        c = constant * sum(row[t] * (mpmath.mpf(t) / k) ** delta for t in range(1, k + 1))
+        scale = c ** (-1 / delta)
+        points = sorted({0, 1, mpmath.inf, *(scale * mpmath.mpf(4) ** j for j in range(-3, 4))})
+        total += mpmath.quad(lambda theta: mpmath.exp(-c * theta**delta) / (1 + theta), points)
+    return float(total / len(rows) / mpmath.log(2))
+
+
+@pytest.mark.parametrize("mode", list(AllocationMode))
+@pytest.mark.parametrize("lam", [0.01, 0.2, 1.0])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_rate_integral_matches_power_law_oracle(mode, lam, k):
+    ba = BandwidthConfig.uniform(3, mode=mode, power_per_chunk=2.0)
+    net = NetworkParams(lam, 1.0, PathLossModel.power_law(4.0))
+    value = _rate_ccdf_quad(net, ba, k).value
+    # the rule's own budget: max(absolute tolerance, relative tolerance * I_k)
+    assert abs(value - _oracle_rate_integral_power_law(lam, ba, k)) <= max(1e-8, 1e-10 * value)
 
 
 def test_throughput_per_joule_ratio():
