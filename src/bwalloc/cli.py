@@ -42,13 +42,19 @@ def _parse_sweep(text: str) -> tuple[float, float, int]:
         raise ConfigError(f"bad sweep {text!r}: {exc}") from None
 
 
-#: each verb's metric and the variable it sweeps unless told otherwise
+#: each verb's metric, the variable it sweeps unless told otherwise, and
+#: its help line
 _VERBS = {
-    "success-prob": (Metric.SUCCESS_PROB, SweepVariable.THETA_DB),
-    "meta-dist": (Metric.META_DIST, SweepVariable.X),
-    "throughput": (Metric.THROUGHPUT, SweepVariable.LAMBDA),
-    "mean-model": (Metric.MEAN_MODEL, SweepVariable.THETA_DB),
-    "simulate": (Metric.SIMULATE, SweepVariable.THETA_DB),
+    "success-prob": (Metric.SUCCESS_PROB, SweepVariable.THETA_DB,
+                     "per-type and overall success probability vs threshold"),
+    "meta-dist": (Metric.META_DIST, SweepVariable.X,
+                  "reliability distribution vs target reliability"),
+    "throughput": (Metric.THROUGHPUT, SweepVariable.LAMBDA,
+                   "Shannon throughput vs intensity or type"),
+    "mean-model": (Metric.MEAN_MODEL, SweepVariable.THETA_DB,
+                   "mean-calibrated comparison of two type mixes"),
+    "simulate": (Metric.SIMULATE, SweepVariable.THETA_DB,
+                 "Monte Carlo success probability vs threshold"),
 }
 
 #: default start, stop, points and scale of a sweep over each variable; a k
@@ -103,14 +109,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="bwalloc", description=__doc__)
     subs = parser.add_subparsers(dest="verb", required=True)
 
-    names = {
-        "success-prob": "per-type and overall success probability vs threshold",
-        "meta-dist": "reliability distribution vs target reliability",
-        "throughput": "Shannon throughput vs intensity or type",
-        "mean-model": "mean-calibrated comparison of two type mixes",
-        "simulate": "Monte Carlo success probability vs threshold",
-    }
-    for verb, blurb in names.items():
+    for verb, (_, _, blurb) in _VERBS.items():
         sub = subs.add_parser(verb, help=blurb)
         _add_common(sub)
         if verb == "meta-dist":
@@ -146,7 +145,7 @@ def build_parser() -> _Parser:
 
 def _flag_layer(args) -> dict:
     """The config keys set by the verb and by the flags actually given."""
-    metric, _ = _VERBS[args.verb]
+    metric = _VERBS[args.verb][0]
     layer = {("experiment", "metric"): metric}
     for dest, key in _FLAG_KEYS.items():
         if getattr(args, dest, None) is not None:
@@ -165,7 +164,7 @@ def _verb_defaults(verb: str, given: dict) -> dict:
     """The verb's defaults; the sweep range follows the sweep variable (and,
     for k, the chunk count) that the config file and the flags (``given``)
     resolve to."""
-    metric, variable = _VERBS[verb]
+    metric, variable, _ = _VERBS[verb]
     mean_model_metric = given.get(_MEAN_MODEL_METRIC, "success_prob")
     if metric is Metric.MEAN_MODEL and mean_model_metric != "success_prob":
         variable = SweepVariable.LAMBDA

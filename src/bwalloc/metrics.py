@@ -6,10 +6,11 @@ plus Shannon throughput obtained by integrating the success probability over
 rate thresholds.
 
 Each type k has one rate integral I_k = int_0^inf P(log2(1 + SIR) > y) dy,
-computed once per (network, bandwidth, k) and cached. Every throughput is a
-scaling of it: the type-k rate I_k * k / n, the rate per chunk I_k / n and
-the rate per joule I_k / (n * P); the overall values average these views
-over the type mix.
+computed once per (network, bandwidth, k) and cached. It runs on the
+trapezoid rule in ln(2^y - 1), its step halved until two levels agree.
+Every throughput is a scaling of it: the type-k rate I_k * k / n, the rate
+per chunk I_k / n and the rate per joule I_k / (n * P); the overall values
+average these views over the type mix.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import numpy as np
 
 from .allocation import _check_type, window_overlap_table
 from .errors import DomainError, IntegrationError
-from .metadist import _gauss_legendre
 from .params import BandwidthConfig, NetworkParams, _check_real
 
 #: Throughput integrand below this level is treated as converged.
@@ -30,17 +30,13 @@ _INTEGRAND_FLOOR = 1e-10
 #: Hard cap on the rate-threshold integration range (b/s/Hz); reached only
 #: for vanishing interference, where the integral diverges.
 _Y_CAP = 512.0
+#: The rate integral's error budget, max(_ABS_TOL, _REL_TOL * I_k); the SIR
+#: threshold it starts from (the thresholds below are worth at most this
+#: much); and the most halvings of its unit starting step.
 _ABS_TOL = 1e-8
-
-#: Adaptive panel rule: Gauss-Legendre nodes per panel on the coarse level
-#: (the fine level has twice as many), the relative error budget (callers
-#: give the absolute one), the most live panels, and the most bisections of
-#: a starting panel.
-_ADAPTIVE_NODES = 10
 _REL_TOL = 1e-10
-_MAX_LIVE_PANELS = 1024
-_MAX_DEPTH = 256
-_MAX_PANEL_EVALS = _MAX_LIVE_PANELS * (_MAX_DEPTH + 1)
+_THETA_MIN = 1e-13
+_MAX_HALVINGS = 10
 
 
 def _check_theta(theta: float) -> float:
@@ -173,13 +169,32 @@ def _rate_ccdf_quad(net: NetworkParams, ba: BandwidthConfig, k: int) -> Throughp
         y_max = min(2.0 * y_max, _Y_CAP)
     truncated = f_end > _INTEGRAND_FLOOR
 
-    # the panels shrink eightfold toward y = 0 until the first is narrower
-    # than the tolerance. The success probability falls from 0.9 to 0.1
-    # over at least a factor of 20 in y near the origin, so however steep
-    # the interference, that fall spans a whole panel and meets its nodes
-    steps = math.ceil(math.log(y_max / _ABS_TOL, 8.0))
-    edges = np.append(0.0, y_max * 0.125 ** np.arange(steps, -1, -1))
-    value = _adaptive_gauss_legendre(integrand, edges, _ABS_TOL, "throughput quadrature")
+    # with theta = 2^y - 1 = e^v, I_k ln 2 is the integral over v of
+    # P(SIR > e^v) / (1 + e^-v), analytic in |Im v| < min(pi, pi alpha / 4)
+    # and decaying at both ends, so the trapezoid rule converges
+    # geometrically as its step halves. Each level adds the midpoints of the
+    # one before; total is the trapezoid sum with the ends at half weight
+    def v_integrand(v):
+        return _success_probs(net, ba, k, np.exp(v)) / (1.0 + np.exp(-v))
+
+    lo, hi = math.log(_THETA_MIN), math.log(2.0**y_max - 1.0)
+    n = math.ceil(hi - lo)
+    h = (hi - lo) / n
+    f = v_integrand(np.linspace(lo, hi, n + 1))
+    total = f.sum() - 0.5 * (f[0] + f[-1])
+    for _ in range(_MAX_HALVINGS):
+        coarse = h * total
+        h *= 0.5
+        total += v_integrand(lo + h * np.arange(1, 2 * n, 2)).sum()
+        n *= 2
+        if abs(h * total - coarse) <= max(math.log(2.0) * _ABS_TOL, _REL_TOL * h * total):
+            break
+    else:
+        raise IntegrationError(
+            f"throughput quadrature did not converge: levels {h * total:.12g} and {coarse:.12g} "
+            f"still differ after {_MAX_HALVINGS} halvings of the step"
+        )
+    value = float(h * total) / math.log(2.0)
 
     if truncated:
         tail = math.inf
@@ -191,52 +206,6 @@ def _rate_ccdf_quad(net: NetworkParams, ba: BandwidthConfig, k: int) -> Throughp
         s = -math.log(f_end)
         tail = f_end / (net.pathloss.delta * math.log(2.0) * max(s, 1.0))
     return ThroughputResult(value, tail, y_max, truncated)
-
-
-def _adaptive_gauss_legendre(f, edges, tol: float, what: str) -> float:
-    """Integral of f over [edges[0], edges[-1]] on composite Gauss-Legendre
-    panels, starting from the panels between consecutive ``edges``.
-
-    ``f`` maps an array of abscissas to an array of values. Each round
-    evaluates every live panel with n and 2n nodes in one call of ``f``. The
-    integral is the sum of the 2n-node values once the panels' level gaps
-    |I_2n - I_n| add up to at most the budget max(tol, _REL_TOL |integral|).
-    Otherwise a panel retires when its gap fits its share of the budget:
-    half of it split by width, plus half of it split evenly over the most
-    panels the rule can evaluate, so that a long chain of bisections toward
-    an endpoint singularity does not drag its neighbours along. Every other
-    live panel is bisected. Raises ``IntegrationError`` when the live panels
-    would exceed _MAX_LIVE_PANELS or the bisections _MAX_DEPTH.
-    """
-    n = _ADAPTIVE_NODES
-    coarse_x, coarse_w = _gauss_legendre(n)
-    fine_x, fine_w = _gauss_legendre(2 * n)
-    nodes = np.concatenate([coarse_x, fine_x])
-    edges = np.asarray(edges, dtype=float)
-    lo, hi = edges[:-1], edges[1:]
-    span = edges[-1] - edges[0]
-    done = done_gap = 0.0
-    for depth in range(_MAX_DEPTH + 1):
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        fx = f((mid[:, None] + half[:, None] * nodes).ravel()).reshape(lo.size, 3 * n)
-        fine = half * (fx[:, n:] @ fine_w)
-        gap = np.abs(fine - half * (fx[:, :n] @ coarse_w))
-        total = done + float(fine.sum())
-        budget = max(tol, _REL_TOL * abs(total))
-        live = gap > 0.5 * budget * ((hi - lo) / span + 1.0 / _MAX_PANEL_EVALS)
-        if done_gap + gap.sum() <= budget or not live.any():
-            return total
-        done += float(fine[~live].sum())
-        done_gap += float(gap[~live].sum())
-        if depth == _MAX_DEPTH or 2 * np.count_nonzero(live) > _MAX_LIVE_PANELS:
-            break
-        lo, mid, hi = lo[live], mid[live], hi[live]
-        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-    raise IntegrationError(
-        f"{what} did not converge: {np.count_nonzero(live)} panels still above their "
-        f"share of the tolerance after {depth} bisections"
-    )
 
 
 def _scaled(result: ThroughputResult, factor: float) -> ThroughputResult:

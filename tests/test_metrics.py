@@ -316,12 +316,14 @@ def test_throughput_matches_independent_quadrature(k):
     assert result.tail_bound < 1e-9
 
 
-def _oracle_rate_integral_power_law(lam: float, ba: BandwidthConfig, k: int) -> float:
-    """I_k under the power law with alpha = 4, via mpmath: each row s of the
-    window overlap table gives P(SIR > theta) = exp(-C_s theta^delta), so
+def _oracle_rate_integral_power_law(
+    alpha: float, lam: float, ba: BandwidthConfig, k: int
+) -> float:
+    """I_k under the power law, via mpmath: each row s of the window overlap
+    table gives P(SIR > theta) = exp(-C_s theta^delta), delta = 2 / alpha, so
     I_k = (1 / ln 2) mean_s int_0^inf exp(-C_s theta^delta) / (1 + theta) dtheta.
     The breakpoints bracket the decay scale C_s^(-1/delta)."""
-    delta = mpmath.mpf(1) / 2
+    delta = 2 / mpmath.mpf(alpha)
     constant = lam * mpmath.pi * mpmath.gamma(1 + delta) * mpmath.gamma(1 - delta)
     rows = window_overlap_table(ba, k)
     total = 0
@@ -333,15 +335,29 @@ def _oracle_rate_integral_power_law(lam: float, ba: BandwidthConfig, k: int) -> 
     return float(total / len(rows) / mpmath.log(2))
 
 
-@pytest.mark.parametrize("mode", list(AllocationMode))
-@pytest.mark.parametrize("lam", [0.01, 0.2, 1.0])
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_rate_integral_matches_power_law_oracle(mode, lam, k):
+@pytest.mark.parametrize(
+    "alpha, mode, lam, k",
+    [
+        # alpha = 4 keeps its original ids, k-lam-mode
+        pytest.param(
+            alpha, mode, lam, k,
+            id=f"{k}-{lam}-{mode.value}" + ("" if alpha == 4.0 else f"-alpha{alpha:g}"),
+        )
+        for alpha in (2.1, 4.0, 8.0)
+        for mode in AllocationMode
+        for lam in (0.01, 0.2, 1.0)
+        for k in (1, 2, 3)
+    ],
+)
+def test_rate_integral_matches_power_law_oracle(alpha, mode, lam, k):
+    # the strip of analyticity that the ladder's convergence rests on
+    # narrows as alpha falls to 2
     ba = BandwidthConfig.uniform(3, mode=mode, power_per_chunk=2.0)
-    net = NetworkParams(lam, 1.0, PathLossModel.power_law(4.0))
+    net = NetworkParams(lam, 1.0, PathLossModel.power_law(alpha))
     value = _rate_ccdf_quad(net, ba, k).value
+    oracle = _oracle_rate_integral_power_law(alpha, lam, ba, k)
     # the rule's own budget: max(absolute tolerance, relative tolerance * I_k)
-    assert abs(value - _oracle_rate_integral_power_law(lam, ba, k)) <= max(1e-8, 1e-10 * value)
+    assert abs(value - oracle) <= max(1e-8, 1e-10 * value)
 
 
 def test_throughput_per_joule_ratio():

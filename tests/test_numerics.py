@@ -154,19 +154,6 @@ def test_rate_integral_matches_quadpack_wide_band():
             assert abs(got - _quad_reference(net, ba, k + 1)) <= 1e-8, (mode, intensity, k + 1)
 
 
-def kink(x):
-    return np.abs(x - 1 / 3)
-
-
-def test_adaptive_rule_is_exact_on_polynomials_and_bisects_kinks():
-    # a 20-node panel integrates degree 39 exactly; |x - 1/3| needs bisection
-    # down to the budget max(tol, _REL_TOL * |integral|)
-    value = metrics._adaptive_gauss_legendre(lambda x: x**7 - 3 * x, (0.0, 2.0), 1e-12, "test")
-    assert value == pytest.approx(2.0**8 / 8 - 6.0, abs=1e-12)
-    value = metrics._adaptive_gauss_legendre(kink, (0.0, 1.0), 1e-12, "test")
-    assert value == pytest.approx(5 / 18, rel=metrics._REL_TOL)
-
-
 # ---------------------------------------------------------------------------
 # Gauss-Legendre nodes
 
@@ -232,13 +219,13 @@ def test_no_eigensolver_behind_any_preset(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the panel cap
+# the halving cap
 
 
-def test_panel_cap_raises_integration_error(monkeypatch, tmp_path):
-    # with one live panel at most, any bisection reaches the cap; at
-    # lambda = 0.001 the rate integral needs one
-    monkeypatch.setattr(metrics, "_MAX_LIVE_PANELS", 1)
+def test_halving_cap_raises_integration_error(monkeypatch, tmp_path):
+    # at lambda = 0.001 the ladder needs two halvings, and so does the
+    # CLI's throughput sweep there
+    monkeypatch.setattr(metrics, "_MAX_HALVINGS", 1)
     metrics._rate_ccdf_quad.cache_clear()
     net = NetworkParams(0.001, 1.0, PathLossModel.bounded(4.0, 1.0))
     ba = BandwidthConfig.uniform(3)
@@ -247,13 +234,6 @@ def test_panel_cap_raises_integration_error(monkeypatch, tmp_path):
     # the CLI reports a numerical failure with exit code 2
     assert main(["throughput", "--sweep", "0.001:0.002:2", "--out", str(tmp_path / "t.csv")]) == 2
     metrics._rate_ccdf_quad.cache_clear()
-
-
-def test_depth_cap_raises_integration_error(monkeypatch):
-    # a kink that no panel edge hits needs bisections without end
-    monkeypatch.setattr(metrics, "_MAX_DEPTH", 3)
-    with pytest.raises(IntegrationError, match="after 3 bisections"):
-        metrics._adaptive_gauss_legendre(kink, (0.0, 1.0), 1e-12, "test")
 
 
 # ---------------------------------------------------------------------------
