@@ -3,12 +3,12 @@
 Closed-form distributions of the number of chunks shared between the typical
 user (type k) and an interferer (type i), for both allocation modes, plus the
 type sampler the Monte Carlo engine builds on. Each mode's law is stated
-once, as integer counts of interferer chunk sets per typical chunk set
-(``_overlap_counts``). Everything else reads those counts: the exact
-rational pmfs, whose normalization and means are checked without drift; the
-law against an interferer of random type, collapsed once per (mix, k) into
-the cached float table ``window_overlap_table`` that every closed form
-reads; and the simulator's random-mode overlap CDF.
+once, as integer counts of interferer chunk sets per typical chunk set, for
+many interferer types in one array pass (``_overlap_counts``). The rest
+reads those counts: the exact rational pmfs, whose normalization and means
+are checked without drift; the law against an interferer of random type,
+collapsed once per (mix, k) into the cached float table
+``window_overlap_table`` that every closed form reads; the simulator's CDF.
 """
 
 from __future__ import annotations
@@ -77,39 +77,48 @@ class OverlapPmf:
         return {t: float(p) for t, p in self.items()}
 
 
-def _overlap_counts(n: int, k: int, i: int, mode: AllocationMode) -> tuple[np.ndarray, int]:
-    """Integer counts of the overlap law between a type-k typical user and a
-    type-i interferer: entry (s, t) counts the interferer chunk sets that
-    share t chunks with typical chunk set s, out of ``total`` equally likely
-    ones; the rows are those of ``window_overlap_table``. Not cached: its
-    repeated readers cache what they build from it, and at n = 64 the
-    contiguous counts of a 16-type mix would hold 6 MB that nothing reads
-    twice.
+#: C(a, b) for a, b = 0..MAX_CHUNKS (0 for b > a), exact in int64: C(64, 32) < 2^63.
+_PASCAL = np.array(
+    [[math.comb(a, b) for b in range(MAX_CHUNKS + 1)] for a in range(MAX_CHUNKS + 1)], np.int64
+)
+
+
+def _overlap_counts(n: int, k: int, types, mode: AllocationMode) -> tuple[np.ndarray, np.ndarray]:
+    """Integer counts of the overlap law between a type-k typical user and
+    an interferer of each type in the integer array ``types``, all at once:
+    entry (j, s, t) counts the chunk sets of type ``types[j]`` that share t
+    chunks with typical chunk set s, out of ``totals[j]`` equally likely
+    ones; the rows s are those of ``window_overlap_table``. Not cached: its
+    repeated readers cache what they build from it.
     """
+    i = np.asarray(types)[:, None, None]
     if mode is AllocationMode.CONTIGUOUS:
-        # count, for each typical window start s, the interferer window
-        # starts u giving each overlap t
-        s = np.arange(n - k + 1)[:, None]
-        u = np.arange(n - i + 1)[None, :]
-        t = np.maximum(0, np.minimum(s + k, u + i) - np.maximum(s, u))
-        counts = np.bincount((s * (k + 1) + t).ravel(), minlength=s.size * (k + 1))
-        counts, total = counts.reshape(s.size, k + 1), n - i + 1
+        # the type-i windows u = 0..n-i sharing >= t chunks with window s
+        # are those with s + t - i <= u <= s + k - t, for 1 <= t <= min(k, i)
+        # (all of them for t = 0, none for t > min(k, i)); the counts are
+        # the differences in t. Every term is at most n + 1, so int16
+        i = i.astype(np.int16)
+        s, t = np.arange(n - k + 1, dtype=np.int16)[:, None], np.arange(k + 2, dtype=np.int16)
+        totals = n + 1 - i
+        at_least = np.minimum(s + (k + 1) - t, totals) - np.maximum(s + t - i, 0)
+        at_least = np.where(t <= np.minimum(k, i), at_least, 0)
+        at_least[..., 0] = totals[..., 0]
+        counts = at_least[..., :-1] - at_least[..., 1:]
     else:
-        counts = np.array(
-            [[math.comb(k, t) * math.comb(n - k, i - t) if t <= i else 0 for t in range(k + 1)]],
-            dtype=np.int64,
-        )
-        total = math.comb(n, i)
-    return counts, total
+        # C(k, t) C(n - k, i - t); a negative i - t wraps to a column past
+        # n - k, which holds 0
+        t = np.arange(k + 1)
+        counts, totals = _PASCAL[k, t] * _PASCAL[n - k, i - t], _PASCAL[n, i]
+    return counts, totals.ravel()
 
 
 def _overlap_pmf(n_chunks: int, k: int, i: int, mode: AllocationMode) -> OverlapPmf:
     n_chunks = _check_int(n_chunks, "n_chunks", 1, MAX_CHUNKS, error=DomainError)
     k = _check_type(n_chunks, k, "k")
     i = _check_type(n_chunks, i, "i")
-    counts, total = _overlap_counts(n_chunks, k, i, mode)
+    (counts,), (total,) = _overlap_counts(n_chunks, k, [i], mode)
     lo, hi = max(0, k + i - n_chunks), min(k, i)
-    denom = counts.shape[0] * total
+    denom = counts.shape[0] * int(total)
     probs = tuple(Fraction(c, denom) for c in counts[:, lo : hi + 1].sum(axis=0).tolist())
     return OverlapPmf(n_chunks, k, i, tuple(range(lo, hi + 1)), probs)
 
@@ -159,11 +168,10 @@ def window_overlap_table(config: BandwidthConfig, k: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _window_overlap_table(config: BandwidthConfig, k: int) -> np.ndarray:
-    table = 0.0
-    for i, p_i in enumerate(config.type_probs, start=1):
-        if p_i > 0.0:
-            counts, total = _overlap_counts(config.n_chunks, k, i, config.mode)
-            table += counts * (p_i / total)
+    # one p_i / total_i-weighted layer per type in the mix, summed in order
+    used = np.flatnonzero(config.type_probs)
+    counts, totals = _overlap_counts(config.n_chunks, k, used + 1, config.mode)
+    table = (counts * (np.array(config.type_probs)[used] / totals)[:, None, None]).sum(axis=0)
     table.flags.writeable = False
     return table
 

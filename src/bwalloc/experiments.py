@@ -27,14 +27,16 @@ from operator import attrgetter
 
 import numpy as np
 
+from .allocation import _check_type
 from .errors import ConfigError
 from .meanmodel import match_mean_model
 from .metadist import meta_ccdf
 from .metrics import (
+    _check_theta,
+    _success_probs,
     shannon_throughput_k,
     shannon_throughput_per_hz_k,
     shannon_throughput_per_joule_k,
-    success_prob_k,
 )
 from .params import (
     AllocationMode,
@@ -395,8 +397,11 @@ def _table(*columns):
 
 
 def _success_columns(net: NetworkParams, thetas):
-    """column(ba, k): ``success_prob_k`` on ``net`` at each threshold."""
-    return _columns(lambda ba, k, theta: success_prob_k(net, ba, k, theta), thetas)
+    """column(ba, k): ``success_prob_k`` on ``net`` at every threshold, in one call."""
+    thetas = np.array([_check_theta(theta) for theta in thetas])
+    return cache(
+        lambda ba, k: _success_probs(net, ba, _check_type(ba.n_chunks, k, "k"), thetas).tolist()
+    )
 
 
 def _success_table(spec: ExperimentSpec):

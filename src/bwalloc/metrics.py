@@ -72,11 +72,28 @@ def bounded_interference_constant(net: NetworkParams) -> float:
 
 
 @lru_cache(maxsize=None)
-def _overlap_rows(ba: BandwidthConfig, k: int):
+def _weighted_rows(ba: BandwidthConfig, k: int) -> np.ndarray:
     """Rows t = 1..k of ``window_overlap_table`` (disjoint chunk sets do not
-    interfere) and the interference weights t / k."""
-    table = window_overlap_table(ba, k)
-    return np.ascontiguousarray(table[:, 1:]), np.arange(1, k + 1) / k
+    interfere), each entry times its interference weight t / k."""
+    return window_overlap_table(ba, k)[:, 1:] * (np.arange(1, k + 1) / k)
+
+
+@lru_cache(maxsize=None)
+def _log_success(net: NetworkParams, ba: BandwidthConfig, k: int):
+    """Map from a column of thresholds to the (theta x row) matrix of log
+    P(SIR > theta | typical chunk set), each entry from its own threshold
+    alone; the theta-free terms are computed once per (net, ba, k)."""
+    pl, ratio = net.pathloss, np.arange(1, k + 1) / k
+    d = pl.delta
+    if pl.is_bounded:
+        rows, c0, minus_b = _weighted_rows(ba, k), pl.c0, -bounded_interference_constant(net)
+        spread = ratio * (c0 + net.link_distance**pl.alpha)
+        return lambda column: (
+            minus_b * column * np.einsum("st,qt->qs", rows, (column * spread + c0) ** (d - 1.0))
+        )
+    loads = np.ascontiguousarray(window_overlap_table(ba, k)[:, 1:]) @ ratio**d
+    minus_c = -net.intensity * interference_constant(net)
+    return lambda column: minus_c * column**d * loads
 
 
 def success_prob_ki(
@@ -110,25 +127,16 @@ def success_prob_k(net: NetworkParams, ba: BandwidthConfig, k: int, theta: float
     """
     theta = _check_theta(theta)
     k = _check_type(ba.n_chunks, k, "k")
-    return float(_success_probs(net, ba, k, theta))
+    return float(_success_probs(net, ba, k, np.array([theta]))[0])
 
 
-def _success_probs(net: NetworkParams, ba: BandwidthConfig, k: int, theta):
-    """``success_prob_k`` at a threshold or at each threshold of an array
-    (checked k, thresholds >= 0), through one (row x theta) exponent matrix;
-    a float threshold gives a scalar."""
-    rows, ratio = _overlap_rows(ba, k)
-    pl = net.pathloss
-    d = pl.delta
-    if pl.is_bounded:
-        scale = pl.c0 + net.link_distance**pl.alpha
-        weight = ratio * (np.multiply.outer(theta, ratio) * scale + pl.c0) ** (d - 1.0)
-        exponents = bounded_interference_constant(net) * theta * (rows @ weight.T)
-    else:
-        constant = net.intensity * interference_constant(net)
-        exponents = np.multiply.outer(rows @ ratio**d, constant * theta**d)
-    # one exponent row per equally likely typical chunk set
-    return np.exp(-exponents).sum(axis=0) / rows.shape[0]
+def _success_probs(net: NetworkParams, ba: BandwidthConfig, k: int, thetas: np.ndarray):
+    """``success_prob_k`` at each threshold of a 1-D array (checked k,
+    thresholds >= 0). Each threshold's row of ``_log_success`` and its sum
+    over the (equally likely) typical chunk sets are computed on their own,
+    so entry j is the scalar call at thetas[j] bit for bit."""
+    logs = _log_success(net, ba, k)(thetas[:, None])
+    return np.exp(logs).sum(axis=-1) / logs.shape[-1]
 
 
 def success_prob_overall(net: NetworkParams, ba: BandwidthConfig, theta: float) -> float:
@@ -162,10 +170,10 @@ def _rate_ccdf_integral(net: NetworkParams, ba: BandwidthConfig, k: int) -> Thro
 @lru_cache(maxsize=None)
 def _rate_ccdf_quad(net: NetworkParams, ba: BandwidthConfig, k: int) -> ThroughputResult:
     def integrand(y):
-        return _success_probs(net, ba, k, np.exp2(y) - 1.0)
+        return success_prob_k(net, ba, k, 2.0**y - 1.0)
 
     y_max = 8.0
-    while (f_end := float(integrand(y_max))) > _INTEGRAND_FLOOR and y_max < _Y_CAP:
+    while (f_end := integrand(y_max)) > _INTEGRAND_FLOOR and y_max < _Y_CAP:
         y_max = min(2.0 * y_max, _Y_CAP)
     truncated = f_end > _INTEGRAND_FLOOR
 

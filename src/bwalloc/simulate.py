@@ -153,11 +153,8 @@ def _overlap_cdf(n_chunks: int, k: int) -> np.ndarray:
     typical user and a type-i interferer, for t < k: the cumulative integer
     counts of ``allocation._overlap_counts`` over their total, divided once.
     The column t = k would be 1."""
-    rows = []
-    for i in range(1, n_chunks + 1):
-        counts, total = _overlap_counts(n_chunks, k, i, AllocationMode.RANDOM)
-        rows.append(np.cumsum(counts[0, :k]) / total)
-    cdf = np.array(rows)
+    counts, totals = _overlap_counts(n_chunks, k, range(1, n_chunks + 1), AllocationMode.RANDOM)
+    cdf = np.cumsum(counts[:, 0, :k], axis=-1) / totals[:, None]
     cdf.flags.writeable = False
     return cdf
 

@@ -4,6 +4,7 @@ The oracle here is exhaustive enumeration of all chunk-set pairs, kept
 deliberately independent of the closed forms it checks.
 """
 
+import math
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -15,9 +16,11 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from bwalloc.allocation import (
+    _PASCAL,
     _TABLE_BUCKETS,
     OverlapPmf,
     _inverse_cdf,
+    _overlap_counts,
     _type_law,
     overlap_pmf,
     overlap_pmf_contiguous,
@@ -217,6 +220,69 @@ def test_window_overlap_table_widest_band(k):
     table = window_overlap_table(config, k)
     assert table.shape == (1, k + 1)
     np.testing.assert_allclose(table[0], [float(e) for e in exact], rtol=0, atol=1e-15)
+
+
+def test_pascal_table_is_exact():
+    assert _PASCAL.dtype == np.int64
+    assert int(_PASCAL[64, 32]) == math.comb(64, 32)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_random_overlap_counts_enumerate_chunk_subsets(n):
+    for k in range(1, n + 1):
+        counts, totals = _overlap_counts(n, k, range(1, n + 1), AllocationMode.RANDOM)
+        assert counts.shape == (n, 1, k + 1)
+        typical = set(range(k))
+        for i in range(1, n + 1):
+            found = Counter(len(typical & set(c)) for c in combinations(range(n), i))
+            assert totals[i - 1] == sum(found.values())
+            assert counts[i - 1, 0].tolist() == [found[t] for t in range(k + 1)]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_contiguous_overlap_counts_enumerate_window_pairs(n):
+    for k in range(1, n + 1):
+        counts, totals = _overlap_counts(n, k, range(1, n + 1), AllocationMode.CONTIGUOUS)
+        assert counts.shape == (n, n - k + 1, k + 1)
+        for i in range(1, n + 1):
+            expected = np.zeros((n - k + 1, k + 1), dtype=np.int64)
+            for s in range(n - k + 1):
+                for u in range(n - i + 1):
+                    expected[s, len(set(range(s, s + k)) & set(range(u, u + i)))] += 1
+            assert totals[i - 1] == n - i + 1
+            np.testing.assert_array_equal(counts[i - 1], expected)
+
+
+def _per_type_table(config: BandwidthConfig, k: int) -> np.ndarray:
+    """window_overlap_table accumulated one interferer type at a time, from
+    math.comb in random mode and from the window intersections in
+    contiguous mode."""
+    n, table = config.n_chunks, 0.0
+    for i, p_i in enumerate(config.type_probs, start=1):
+        if p_i > 0.0:
+            if config.mode is AllocationMode.RANDOM:
+                counts, total = np.zeros((1, k + 1), dtype=np.int64), math.comb(n, i)
+                for t in range(min(k, i) + 1):
+                    counts[0, t] = math.comb(k, t) * math.comb(n - k, i - t)
+            else:
+                s, u = np.arange(n - k + 1)[:, None], np.arange(n - i + 1)
+                shared = np.maximum(0, np.minimum(s + k, u + i) - np.maximum(s, u))
+                counts, total = (shared[:, :, None] == np.arange(k + 1)).sum(axis=1), n - i + 1
+            table += counts * (p_i / total)
+    return table
+
+
+@pytest.mark.parametrize("mode", [AllocationMode.RANDOM, AllocationMode.CONTIGUOUS])
+def test_window_overlap_table_is_the_per_type_accumulation(mode):
+    # a 16-type mix over the widest band, one type drawn from each block of
+    # 4 consecutive types; the table must equal the per-type sum bit for bit
+    rng = np.random.default_rng(0)
+    probs = np.zeros(MAX_CHUNKS)
+    probs[[4 * j + int(rng.integers(4)) for j in range(16)]] = rng.dirichlet(np.ones(16))
+    config = BandwidthConfig(MAX_CHUNKS, tuple(float(p) for p in probs), mode)
+    for k in range(1, MAX_CHUNKS + 1):
+        table, expected = window_overlap_table(config, k), _per_type_table(config, k)
+        assert table.shape == expected.shape and table.tobytes() == expected.tobytes(), k
 
 
 def test_window_overlap_table_domain_errors():

@@ -181,11 +181,28 @@ def _count_calls(monkeypatch, name):
 
 
 def test_success_table_computes_each_type_column_once(monkeypatch):
-    calls = _count_calls(monkeypatch, "success_prob_k")
+    calls = _count_calls(monkeypatch, "_success_probs")
     _, rows = run_experiment(_spec(sweep=SweepSpec(SweepVariable.THETA_DB, -20.0, 20.0, 41)))
     assert len(rows) == 41
-    # one call per (type, threshold); the overall column reuses them
-    assert len(calls) == 3 * 41
+    # one array call per type over the whole sweep; the overall column
+    # reuses them
+    assert [len(thetas) for *_, thetas in calls] == [41] * 3
+
+
+@pytest.mark.parametrize("mode", [AllocationMode.RANDOM, AllocationMode.CONTIGUOUS])
+@pytest.mark.parametrize("c0", [0.0, 1.0], ids=["power_law", "bounded"])
+def test_success_table_cells_are_the_scalar_calls(mode, c0):
+    spec = _spec(
+        sweep=SweepSpec(SweepVariable.THETA_DB, -20.0, 20.0, 41),
+        network=NetworkParams(0.2, 1.0, PathLossModel(4.0, c0)),
+        bandwidth=BandwidthConfig.uniform(10, mode=mode),
+    )
+    header, rows = run_experiment(spec)
+    for k in range(1, 11):
+        column = header.index(f"ps_type_{k}")
+        for row in rows:
+            theta = db_to_linear(row[0])
+            assert row[column] == success_prob_k(spec.network, spec.bandwidth, k, theta)
 
 
 def test_lambda_table_computes_each_type_column_once(monkeypatch):

@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 
 from bwalloc.errors import DomainError
 from bwalloc.metrics import (
+    _THETA_MIN,
     _rate_ccdf_quad,
+    _success_probs,
     bounded_interference_constant,
     interference_constant,
     shannon_throughput_k,
@@ -176,6 +178,26 @@ def test_success_prob_k_matches_brute_force_over_chunk_sets(mode, net):
                 assert success_prob_k(net, ba, k, theta) == pytest.approx(
                     _brute_force_success_prob(net, ba, k, theta), rel=1e-12
                 )
+
+
+@pytest.mark.parametrize("n", [3, 10, 64])
+@pytest.mark.parametrize("mode", [AllocationMode.RANDOM, AllocationMode.CONTIGUOUS])
+@pytest.mark.parametrize("net", [POWER_LAW, BOUNDED], ids=["power_law", "bounded"])
+def test_success_prob_k_is_the_array_kernel_entry(net, mode, n):
+    # 0, the figures' dB grid, and the rate integral's thresholds e^v from
+    # its lowest one up to 2^64, at every position of one array call: the
+    # scalar call must give the array entry bit for bit
+    thetas = np.concatenate(
+        [
+            [0.0],
+            10.0 ** (np.arange(-20, 21) / 10.0),
+            np.exp(np.linspace(math.log(_THETA_MIN), 64.0 * math.log(2.0), 97)),
+        ]
+    )
+    ba = BandwidthConfig.uniform(n, mode=mode)
+    for k in sorted({*range(1, n + 1, max(1, n // 16)), n}):
+        probs = _success_probs(net, ba, k, thetas)
+        assert [success_prob_k(net, ba, k, theta) for theta in thetas] == probs.tolist()
 
 
 def test_success_prob_ki_contiguous_averages_over_typical_window():
