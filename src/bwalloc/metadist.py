@@ -7,17 +7,16 @@ probability generating functional as a single radial integral; inverting the
 imaginary-order moments recovers the full distribution, and matching two
 real moments to a beta law gives a cheap approximation.
 
-The inversion (Gil-Pelaez) integrates Im(e^{-ju ln x} M(ju))/u over u >= 0 on
-a grid that is built once per (network, allocation, k, theta) and shared by
-every reliability threshold x. The grid is a composite Gauss-Legendre rule on
-u panels of fixed width. It extends panel by panel until |M(ju)| stays below
-a fixed cutoff on a whole panel; the cutoff does not depend on x. Each value
-is computed on two levels, with n and 2n nodes per panel, and once more with
-4n nodes where those disagree (small x oscillates faster, at rate |ln x|).
-When the two finest levels still disagree, or when |M(ju)| has not fallen
-below the cutoff by a hard cap on u, the inversion raises
-``OscillatoryIntegrationError`` and names the gap or the tail size, and
-``meta_ccdf(method="auto")`` falls back to the beta fit.
+The inversion (Gil-Pelaez) integrates Im(e^{-ju ln x} M(ju))/u over u >= 0 by
+the trapezoid rule, on a u grid built once per (network, allocation, k, theta)
+and shared by every reliability threshold x. The coarsest level extends block
+by block until |M(ju)| stays below a fixed cutoff on a whole block. Each finer
+level halves the step and adds only the midpoints. The rule of step h errs
+only by the mass of |ln P_s - ln x| >= 2 pi / h (Davies, Biometrika 1973), so
+a value is accepted once two consecutive levels agree. When the last halving
+still disagrees, or when |M(ju)| has not fallen below the cutoff by a hard
+cap on u, the inversion raises ``OscillatoryIntegrationError`` and names the
+gap or the tail size, and ``meta_ccdf(method="auto")`` falls back to beta.
 
 Moments of every order, real (the beta fit) or imaginary (the inversion), come
 from one radial profile: Gauss-Legendre rules in log r out to R (or to where
@@ -26,8 +25,8 @@ tail, plus an exact origin-disk term. It is doubled from 256 nodes until two
 rungs agree on probe orders, and the coarser of the two is kept, since the
 finer one has just confirmed it. All Gauss-Legendre nodes come from Newton's
 method on the Legendre recurrence, with no eigensolver. A moment at u = a + b,
-with a the start of u's panel, reuses the panel start's terms, so sin and cos
-run once per panel start and once per panel offset rather than once per u. The
+with a the start of u's block, reuses the block start's terms, so sin and cos
+run once per block start and once per block offset rather than once per u. The
 sums over radial nodes that combine them are real matrix-vector products: a
 matrix-matrix product would start BLAS worker threads, which keep spinning
 after it returns and burn CPU time while Python runs.
@@ -49,15 +48,16 @@ from .allocation import _check_type, window_overlap_table
 from .errors import DomainError, IntegrationError, OscillatoryIntegrationError
 from .params import BandwidthConfig, NetworkParams, _check_real
 
-#: Inversion grid: width of the u panels, Gauss-Legendre nodes per panel on
-#: the coarsest level, the |M(ju)| below which a panel ends the grid, the hard
-#: cap on u, and the largest gap between two levels that a value may show.
-_PANEL_WIDTH = 2.0
-_PANEL_NODES = 8
+#: Inversion grid: the trapezoid step in u on the coarsest level, the nodes
+#: per block (the coarsest level also grows this many blocks at a time), the
+#: |M(ju)| below which a block ends the grid, the hard cap on u, the largest
+#: gap between two levels that a value may show, and the most halvings.
+_U_STEP = math.pi / 10
+_U_BLOCK = 32
 _TAIL_CUTOFF = 1e-6
 _U_CAP = 1e4
 _LEVEL_TOL = 1e-8
-_N_LEVELS = 3
+_MAX_HALVINGS = 4
 
 #: Gauss-Legendre roots: the most Newton steps, and the step size below which
 #: a root counts as settled (a step this small leaves an error far below one
@@ -65,11 +65,9 @@ _N_LEVELS = 3
 _NEWTON_STEPS = 8
 _NEWTON_TOL = 1e-14
 
-#: The moment kernel takes panel starts in blocks of at most a quarter of
-#: this many (start x radial node) entries, and the coarsest level grows this
-#: many panels at a time.
+#: The moment kernel takes block starts in chunks of at most a quarter of
+#: this many (start x radial node) entries.
 _BLOCK_ENTRIES = 1 << 17
-_PANELS_PER_STEP = 32
 
 #: Radial profile: nodes of each rung of the ladder, the probe gap relative to
 #: 1 + |log M| at which two rungs agree, (eps / min(R, r_s))^alpha for the
@@ -198,8 +196,7 @@ class _RadialProfile:
     def __init__(self, net: NetworkParams, k: int, theta: float, q: np.ndarray):
         self.prefactor = 2.0 * math.pi * net.intensity
         r_link, alpha = net.link_distance, net.pathloss.alpha
-        self._levels = [None] * _N_LEVELS
-        self._tail = math.inf
+        self._levels = []
         cross = theta / net.signal_attenuation() - net.pathloss.c0
         r_s = cross ** (1.0 / alpha) if cross > 0.0 else r_link
         # the tail integrand's second power, s^(p (2 alpha - 2) - 1), sets the
@@ -212,8 +209,8 @@ class _RadialProfile:
         self._disk_power = alpha if net.pathloss.c0 == 0.0 and q[0] == 0.0 else 0.0
         prev = None
         for n_nodes in _RUNGS:
-            s_near, w_near = _interval_rule(n_nodes - n_nodes // _TAIL_SHARE, 1.0)
-            s_far, w_far = _interval_rule(n_nodes // _TAIL_SHARE, 1.0)
+            s_near, w_near = _interval_rule(n_nodes - n_nodes // _TAIL_SHARE)
+            s_far, w_far = _interval_rule(n_nodes // _TAIL_SHARE)
             near, far = r_1 * np.exp(span * s_near), r_1 * s_far**-p
             self._log_factor = _log_survival(net, k, theta, np.concatenate([near, far]), q)
             self._weight = np.concatenate([-span * w_near * near**2, p * w_far * far**2 / s_far])
@@ -223,10 +220,14 @@ class _RadialProfile:
                 # rung n confirms rung n / 2, which is then kept: it is
                 # accurate already and costs half as much per moment
                 self._log_factor, self._weight = prev[1]
-                return
+                break
             prev = probes, (self._log_factor, self._weight)
-        # real orders read the profile too, so the beta fit cannot stand in
-        raise IntegrationError("radial moment integral did not converge on the node ladder")
+        else:
+            # real orders read the profile too, so the beta fit cannot stand in
+            raise IntegrationError("radial moment integral did not converge on the node ladder")
+        # E[ln P_s], the exponent's slope at b = 0, for the inversion's u = 0 node
+        disk_slope = self._eps2 * (self._disk_log - self._disk_power / 2) / 2
+        self._mean_log = self.prefactor * (self._log_factor @ self._weight + disk_slope)
 
     def log_moment(self, b: complex) -> complex:
         """Exponent of the order-b moment."""
@@ -246,7 +247,7 @@ class _RadialProfile:
     def _polar_grid(
         self, starts: np.ndarray, offsets: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """|M(ju)| and arg M(ju) at u = a + b for every panel start a (rows)
+        """|M(ju)| and arg M(ju) at u = a + b for every block start a (rows)
         and offset b (columns).
 
         M(ju) = exp(-prefactor (G(u) + D(ju))) with the disk term D (see
@@ -256,7 +257,7 @@ class _RadialProfile:
         entry. Each 1 - e^{jx} takes the half-angle form
         2 sin(x/2)^2 - 2j sin(x/2) cos(x/2), which does not cancel on the far
         tail, where x is tiny. The sums over r are real matrix-vector
-        products, two per offset on a block of starts: a matrix-matrix
+        products, two per offset on a chunk of starts: a matrix-matrix
         product would start BLAS worker threads that keep spinning after it
         returns.
         """
@@ -270,10 +271,10 @@ class _RadialProfile:
         g_im = np.empty((starts.size, offsets.size))
         rows = max(1, _BLOCK_ENTRIES // (4 * weight.size))
         for lo in range(0, starts.size, rows):
-            block = slice(lo, lo + rows)
-            rot = _half_angle_products(np.multiply.outer(starts[block], half_angle))
-            g_re[block] = 2.0 * (rot[0] @ weight)[:, None]
-            g_im[block] = -2.0 * (rot[1] @ weight)[:, None]
+            chunk = slice(lo, lo + rows)
+            rot = _half_angle_products(np.multiply.outer(starts[chunk], half_angle))
+            g_re[chunk] = 2.0 * (rot[0] @ weight)[:, None]
+            g_im[chunk] = -2.0 * (rot[1] @ weight)[:, None]
             # e^{j a L} = 1 - 2 sin(aL/2)^2 + 2j sin(aL/2) cos(aL/2)
             rot[0] *= -2.0
             rot[0] += 1.0
@@ -284,67 +285,70 @@ class _RadialProfile:
                 # rows: [Re e^{jaL}; Im e^{jaL}] against Re and Im of w (1 - e^{jbL})
                 re = rot @ d_re[i]
                 im = rot @ d_im[i]
-                g_re[block, i] += re[:n_rows] - im[n_rows:]
-                g_im[block, i] += im[:n_rows] + re[n_rows:]
+                g_re[chunk, i] += re[:n_rows] - im[n_rows:]
+                g_im[chunk, i] += im[:n_rows] + re[n_rows:]
         disk = self._disk(1j * np.add.outer(starts, offsets))
         return np.exp(-self.prefactor * (g_re + disk.real)), -self.prefactor * (g_im + disk.imag)
 
     def _inversion_level(self, level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Nodes u, weights w |M(ju)| / u and phases arg M(ju) of the
-        composite rule with _PANEL_NODES * 2**level nodes on each u panel,
-        built on first use. Level 0 fixes the panels, so it is built first;
-        finer levels reuse them.
+        """Nodes u > 0, coefficients |M(ju)| / u and phases arg M(ju) that the
+        trapezoid rule of step _U_STEP / 2**level adds to the coarser levels,
+        built on first use: the multiples of _U_STEP on level 0, which fixes
+        the blocks (a, a + _U_BLOCK * _U_STEP], and the odd multiples of the
+        step on each finer level.
         """
-        if self._levels[level] is None:
-            offsets, w = _interval_rule(_PANEL_NODES << level, _PANEL_WIDTH)
-            if level == 0:
+        for new in range(len(self._levels), level + 1):
+            if new == 0:
+                offsets = _U_STEP * np.arange(1, _U_BLOCK + 1)
                 amp, arg = self._grow_coarsest(offsets)
             else:
-                amp, arg = self._polar_grid(_panel_starts(0, self._n_panels), offsets)
-            u = np.add.outer(_panel_starts(0, self._n_panels), offsets)
-            self._levels[level] = (u.ravel(), (w * amp / u).ravel(), arg.ravel())
+                offsets = _U_STEP / 2**new * np.arange(1, _U_BLOCK << new, 2)
+                amp, arg = self._polar_grid(self._starts, offsets)
+            u = np.add.outer(self._starts, offsets).ravel()
+            self._levels.append((u, amp.ravel() / u, arg.ravel()))
         return self._levels[level]
 
     def _grow_coarsest(self, offsets: np.ndarray) -> list[np.ndarray]:
-        """|M(ju)| and arg M(ju), one row per panel, at the panel offsets on
-        panels added until a whole panel has |M(ju)| below _TAIL_CUTOFF, or
-        up to _U_CAP. Records the panel count and the largest |M(ju)| on the
-        last panel."""
-        n_cap = int(_U_CAP / _PANEL_WIDTH)
+        """|M(ju)| and arg M(ju), one row per block of _U_BLOCK nodes, on
+        blocks added until a whole block has |M(ju)| below _TAIL_CUTOFF, or
+        up to _U_CAP. Records the block starts and the largest |M(ju)| on the
+        last block."""
+        width = _U_BLOCK * _U_STEP
+        starts = width * np.arange(math.ceil(_U_CAP / width), dtype=float)
         parts = []
-        for first in range(0, n_cap, _PANELS_PER_STEP):
-            starts = _panel_starts(first, min(_PANELS_PER_STEP, n_cap - first))
-            amp, arg = self._polar_grid(starts, offsets)
+        for first in range(0, starts.size, _U_BLOCK):
+            amp, arg = self._polar_grid(starts[first : first + _U_BLOCK], offsets)
             peaks = amp.max(axis=1)
             below = np.flatnonzero(peaks < _TAIL_CUTOFF)
             used = int(below[0]) + 1 if below.size else peaks.size
             parts.append((amp[:used], arg[:used]))
             if below.size:
                 break
-        self._n_panels = first + used
+        self._starts = starts[: first + used]
         self._tail = float(peaks[used - 1])
         return [np.concatenate(a) for a in zip(*parts)]
 
     def ccdf(self, x: float) -> float:
-        """Gil-Pelaez inversion at x in (0, 1), checked between grid levels."""
+        """Gil-Pelaez inversion at x in (0, 1), checked between consecutive
+        halvings of the step. With Z = ln P_s - ln x, the node u = 0 takes
+        half weight with the integrand's limit there, E[Z]."""
         ln_x = math.log(x)
-        prev = None
-        for level in range(_N_LEVELS):
+        total = 0.5 * (self._mean_log - ln_x)
+        value = None
+        for level in range(_MAX_HALVINGS + 1):
             u, coef, arg = self._inversion_level(level)
             if self._tail >= _TAIL_CUTOFF:
                 raise OscillatoryIntegrationError(
                     f"inversion grid reached u = {_U_CAP:g} with |M(ju)| still "
-                    f"{self._tail:.3g} on its last panel"
+                    f"{self._tail:.3g} on its last block"
                 )
             # Im(e^{-ju ln x} M(ju)) = |M(ju)| sin(arg M(ju) - u ln x)
-            value = 0.5 + float(coef @ np.sin(arg - u * ln_x)) / math.pi
-            if prev is not None:
-                gap = abs(value - prev)
-                if gap <= _LEVEL_TOL:
-                    return min(1.0, max(0.0, value))
-            prev = value
+            total += float(coef @ np.sin(arg - u * ln_x))
+            prev, value = value, 0.5 + _U_STEP / 2**level * total / math.pi
+            if prev is not None and abs(value - prev) <= _LEVEL_TOL:
+                return min(1.0, max(0.0, value))
         raise OscillatoryIntegrationError(
-            f"inversion at x = {x:g}: the two finest grid levels differ by {gap:.3g}"
+            f"inversion at x = {x:g}: the two finest grid levels differ by {abs(value - prev):.3g}"
         )
 
 
@@ -358,17 +362,10 @@ def _half_angle_products(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _interval_rule(n: int, width: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point Gauss-Legendre rule on (0, width);
-    on a u panel the nodes are offsets b, and u = a + b for panel start a."""
+def _interval_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on (0, 1)."""
     nodes, weights = _gauss_legendre(n)
-    half = 0.5 * width
-    return half * (nodes + 1.0), half * weights
-
-
-def _panel_starts(first: int, count: int) -> np.ndarray:
-    """Starts of the u panels first, ..., first + count - 1."""
-    return _PANEL_WIDTH * np.arange(first, first + count, dtype=float)
+    return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
 @lru_cache(maxsize=64)
@@ -547,7 +544,7 @@ def meta_ccdf(
     method: str = "gilpelaez",
 ) -> float:
     """Per-type ccdf with method selection: "gilpelaez", "beta", or "auto"
-    (inversion, with the beta fit where the inversion's u grid fails; a
+    (inversion, with the beta fit where the trapezoid ladder in u fails; a
     radial profile that does not converge raises for every method)."""
     if method == "gilpelaez":
         return meta_ccdf_gilpelaez(net, ba, k, theta, x)

@@ -28,6 +28,7 @@ from bwalloc.metadist import (
 )
 from bwalloc.metrics import success_prob_k
 from bwalloc.params import AllocationMode, BandwidthConfig, NetworkParams, PathLossModel
+from bwalloc.simulate import SimConfig, estimate_meta_distribution
 
 BOUNDED = NetworkParams(0.2, 1.0, PathLossModel.bounded(4.0, 1.0))
 POWER_LAW = NetworkParams(0.2, 1.0, PathLossModel.power_law(4.0))
@@ -347,7 +348,7 @@ def test_gilpelaez_reproduces_real_moments_and_is_nonincreasing(net, theta, k):
 
 def _per_entry_polar(profile, u):
     """|M(ju)| and arg M(ju) with sin and cos on every (u x radial node)
-    entry, one bounded block at a time: the oracle of the panel-factored
+    entry, one bounded block at a time: the oracle of the block-factored
     kernel."""
     amp = np.empty(u.size)
     arg = np.empty(u.size)
@@ -382,14 +383,20 @@ def _assert_polar_close(profile, u, amp, arg):
 )
 def test_panel_kernel_matches_per_entry_kernel(net, theta, k):
     (profile,) = metadist._profiles(net, UNIFORM3, k, theta)
-    for level in range(metadist._N_LEVELS):
+    nodes = []
+    for level in range(metadist._MAX_HALVINGS + 1):
         u, coef, arg = profile._inversion_level(level)
-        _, w = metadist._interval_rule(metadist._PANEL_NODES << level, metadist._PANEL_WIDTH)
-        _assert_polar_close(profile, u, coef * u / np.tile(w, u.size // w.size), arg)
-    # any u >= 0, not only panel nodes: 40 panel starts against the offset 0
-    # and random offsets within a panel
-    starts = metadist._PANEL_WIDTH * np.arange(40.0)
-    offsets = np.append(0.0, np.random.default_rng(3).uniform(0.0, metadist._PANEL_WIDTH, 200))
+        _assert_polar_close(profile, u, coef * u, arg)
+        # levels 0..l together hold every positive multiple of the step,
+        # each node once
+        nodes = np.sort(np.concatenate([nodes, u]))
+        step = metadist._U_STEP / 2**level
+        assert np.allclose(nodes, step * np.arange(1, nodes.size + 1), rtol=1e-14, atol=0.0)
+    # any u >= 0, not only grid nodes: 40 block starts against the offset 0
+    # and random offsets within a block
+    width = metadist._U_BLOCK * metadist._U_STEP
+    starts = width * np.arange(40.0)
+    offsets = np.append(0.0, np.random.default_rng(3).uniform(0.0, width, 200))
     amp, arg = profile._polar_grid(starts, offsets)
     u = np.add.outer(starts, offsets).ravel()
     _assert_polar_close(profile, u, amp.ravel(), arg.ravel())
@@ -422,12 +429,43 @@ def test_gilpelaez_reports_truncation_and_auto_falls_back_to_beta():
 
 
 def test_gilpelaez_reports_unresolved_oscillation():
-    # |ln x| = 27.6 oscillates faster than the finest level resolves
+    # Z = ln P_s - ln x >= 345 lies beyond 2 pi / h = 320 even on the finest
+    # level, so every level aliases
     with pytest.raises(OscillatoryIntegrationError, match="differ by"):
-        meta_ccdf_gilpelaez(BOUNDED, UNIFORM3, 2, 1.0, 1e-12)
-    assert meta_ccdf(BOUNDED, UNIFORM3, 2, 1.0, 1e-12, method="auto") == meta_ccdf_beta(
-        BOUNDED, UNIFORM3, 2, 1.0, 1e-12
+        meta_ccdf_gilpelaez(BOUNDED, UNIFORM3, 2, 1.0, 1e-150)
+    assert meta_ccdf(BOUNDED, UNIFORM3, 2, 1.0, 1e-150, method="auto") == meta_ccdf_beta(
+        BOUNDED, UNIFORM3, 2, 1.0, 1e-150
     )
+    # Z <= 27.6 is resolved after one halving (2 pi / h = 40)
+    assert meta_ccdf_gilpelaez(BOUNDED, UNIFORM3, 2, 1.0, 1e-12) == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    "net, k",
+    [(BOUNDED, 2), (POWER_LAW, 1), (POWER_LAW, 3)],
+    ids=["bounded-k2", "power-law-k1", "power-law-k3-q0-zero"],
+)
+def test_inversion_u0_limit_is_the_exponent_slope(net, k):
+    # the u = 0 node of the trapezoid rule reads E[ln P_s] = d log M / db at
+    # b = 0, here against a central difference of the real-order exponent
+    (profile,) = metadist._profiles(net, UNIFORM3, k, 1.0)
+    assert profile._disk_power == (4.0 if k == 3 and net is POWER_LAW else 0.0)
+    step = 1e-5
+    slope = (profile.log_moment(step) - profile.log_moment(-step)) / (2.0 * step)
+    assert profile._mean_log == pytest.approx(slope.real, rel=1e-8)
+
+
+def test_gilpelaez_inverts_power_law_alpha6_at_high_reliability():
+    # the power law with q_0 = 0 at alpha = 6 must pass the level check up
+    # to high reliability: otherwise "auto" prints the beta fit, 0.1237 at
+    # x = 0.99 against a simulated 0.03
+    net = NetworkParams(0.2, 1.0, PathLossModel.power_law(6.0))
+    xs = (0.5, 0.95, 0.99)
+    sim = SimConfig(n_realizations=4000, seed=3)
+    for x, est in zip(xs, estimate_meta_distribution(net, UNIFORM3, sim, 3, 1.0, xs)):
+        value = meta_ccdf_gilpelaez(net, UNIFORM3, 3, 1.0, x)
+        assert meta_ccdf(net, UNIFORM3, 3, 1.0, x, method="auto") == value
+        assert abs(value - est.value) <= 3.5 * est.std_error, x
 
 
 @pytest.mark.parametrize(
