@@ -1,14 +1,17 @@
 """Chunk-selection combinatorics.
 
 Closed-form distributions of the number of chunks shared between the typical
-user (type k) and an interferer (type i), for both allocation modes, plus the
-type sampler the Monte Carlo engine builds on. Each mode's law is stated
-once, as integer counts of interferer chunk sets per typical chunk set, for
-many interferer types in one array pass (``_overlap_counts``). The rest
-reads those counts: the exact rational pmfs, whose normalization and means
-are checked without drift; the law against an interferer of random type,
-collapsed once per (mix, k) into the cached float table
-``window_overlap_table`` that every closed form reads; the simulator's CDF.
+user (type k) and an interferer (type i), for both allocation modes, plus
+every draw of the chunk model that the Monte Carlo engine makes: types,
+window starts and shared-chunk counts, each from given uniforms. Each mode's
+law is stated once, as integer counts of interferer chunk sets per typical
+chunk set, for many interferer types in one array pass
+(``_overlap_counts``). The rest reads those counts: the exact rational
+pmfs, whose normalization and means are checked without drift; the law
+against an interferer of random type, collapsed once per (mix, k) into the
+cached float table ``window_overlap_table`` that every closed form reads;
+and the cached random-mode pair law (``_overlap_law``) that the overlap
+draw inverts.
 """
 
 from __future__ import annotations
@@ -248,3 +251,42 @@ def _type_law(config: BandwidthConfig) -> tuple[np.ndarray, np.ndarray]:
     cdf[np.flatnonzero(config.type_probs)[-1]:] = 1.0
     cdf.flags.writeable = False
     return cdf, _bucket_table(cdf)
+
+
+@lru_cache(maxsize=None)
+def _overlap_law(n_chunks: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Random mode: the cumulative pair law and its bucket table. Entry
+    (i - 1, t) is P(overlap <= t) between a type-k typical user and a type-i
+    interferer, for t < k: the cumulative integer counts of
+    ``_overlap_counts`` over their total, divided once. The column t = k
+    would be 1."""
+    counts, totals = _overlap_counts(n_chunks, k, range(1, n_chunks + 1), AllocationMode.RANDOM)
+    cdf = np.cumsum(counts[:, 0, :k], axis=-1) / totals[:, None]
+    cdf.flags.writeable = False
+    return cdf, _bucket_table(cdf)
+
+
+def _window_starts(n_chunks: int, types, u) -> np.ndarray:
+    """0-based start of a uniformly placed window for each user, from one
+    uniform each."""
+    return (u * (n_chunks - types + 1)).astype(np.int64)
+
+
+def _sample_overlaps(
+    config: BandwidthConfig, k: int, types: np.ndarray, u: np.ndarray, typical
+) -> np.ndarray:
+    """Shared-chunk count of each interferer with a type-k typical user,
+    from one uniform each (``u``, the shape of ``types``).
+
+    The last axis of ``types`` runs over the interferers of one network;
+    leading axes index independent networks. Random mode inverts each pair's
+    exact law through the row of the interferer's type in ``_overlap_law``.
+    Contiguous mode places every interferer's window and intersects it with
+    the typical window, which starts at ``typical``: one start, or one per
+    network (shape ``types.shape[:-1] + (1,)``).
+    """
+    n_chunks = config.n_chunks
+    if config.mode is AllocationMode.RANDOM:
+        return _inverse_cdf(*_overlap_law(n_chunks, k), u, types - 1)
+    starts = _window_starts(n_chunks, types, u)
+    return np.maximum(0, np.minimum(typical + k, starts + types) - np.maximum(typical, starts))

@@ -2,7 +2,8 @@
 
 Verbs map one-to-one onto experiment metrics, plus ``figure`` for the
 preset sweeps. Exit codes: 0 success, 1 validation error, 2 numerical
-failure. Thresholds are taken in dB here and converted once, at this layer.
+failure. Thresholds are taken in dB, as in config files; the experiment
+table builders convert them to linear (``experiments.db_to_linear``).
 """
 
 from __future__ import annotations

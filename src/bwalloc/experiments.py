@@ -534,7 +534,7 @@ def write_csv(spec: ExperimentSpec, header, rows, path: str) -> None:
                 handle.write(f"# {line}\n" if line else "#\n")
             handle.write(",".join(header) + "\n")
             for row in rows:
-                handle.write(",".join(_fmt(float(v)) for v in row) + "\n")
+                handle.write(",".join(repr(float(v)) for v in row) + "\n")
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):

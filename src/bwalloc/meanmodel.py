@@ -78,8 +78,6 @@ def matched_intensity(
     alt_power = _check_real(alt_power, "alt_power", 0.0, error=DomainError)
     base_sum = _mix_mean_overlap(ba)
     alt_sum = _mix_mean_overlap(alt)
-    if alt_sum <= 0.0:
-        raise DomainError("alternative mix carries no interference to match")
     return net.intensity * ba.power_per_chunk * base_sum / (alt_power * alt_sum)
 
 

@@ -8,14 +8,15 @@ interference directly.
 
 Every estimator is a statistic over one realization loop. SIR depends on an
 interferer's chunk set only through the number of chunks it shares with the
-typical user, so the loop draws those counts directly and never builds chunk
-sets or positions. Realization idx draws everything from
-``realization_rng(seed, idx)``, in a fixed order: the typical type (only when
-it is drawn from the mix), the interferer count, their distances, their
-types, the typical window start (contiguous mode only), their shared-chunk
-counts, the fading of the interferers that share a chunk, the typical fading,
-then what the statistic draws itself. Estimates are therefore
-bit-reproducible and independent of any execution order.
+typical user, so the loop draws those counts directly (``allocation`` turns
+uniforms into types, window starts and counts) and never builds chunk sets
+or positions. This module fixes the order: realization idx draws everything
+from ``realization_rng(seed, idx)``, the typical type (only when it is drawn
+from the mix), the interferer count, their distances, their types, the
+typical window start (contiguous mode only), their shared-chunk counts, the
+fading of the interferers that share a chunk, the typical fading, then what
+the statistic draws itself. Estimates are therefore bit-reproducible and
+independent of any execution order.
 """
 
 from __future__ import annotations
@@ -23,16 +24,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
 from .allocation import (
-    _bucket_table,
     _check_type,
-    _inverse_cdf,
-    _overlap_counts,
+    _sample_overlaps,
     _types_of,
+    _window_starts,
     sample_type,
     window_overlap_table,
 )
@@ -139,50 +138,6 @@ def _window(net: NetworkParams, sim: SimConfig) -> float:
             f"window_radius must be at least {_MIN_WINDOW_FACTOR} link distances"
         )
     return radius
-
-
-def _window_starts(n_chunks: int, types, u) -> np.ndarray:
-    """0-based start of a uniformly placed window for each user, from one
-    uniform each."""
-    return (u * (n_chunks - types + 1)).astype(np.int64)
-
-
-@lru_cache(maxsize=None)
-def _overlap_cdf(n_chunks: int, k: int) -> np.ndarray:
-    """Random mode: entry (i - 1, t) is P(overlap <= t) between a type-k
-    typical user and a type-i interferer, for t < k: the cumulative integer
-    counts of ``allocation._overlap_counts`` over their total, divided once.
-    The column t = k would be 1."""
-    counts, totals = _overlap_counts(n_chunks, k, range(1, n_chunks + 1), AllocationMode.RANDOM)
-    cdf = np.cumsum(counts[:, 0, :k], axis=-1) / totals[:, None]
-    cdf.flags.writeable = False
-    return cdf
-
-
-@lru_cache(maxsize=None)
-def _overlap_table(n_chunks: int, k: int) -> np.ndarray:
-    return _bucket_table(_overlap_cdf(n_chunks, k))
-
-
-def _sample_overlaps(
-    ba: BandwidthConfig, k: int, types: np.ndarray, u: np.ndarray, typical
-) -> np.ndarray:
-    """Shared-chunk count of each interferer with a type-k typical user,
-    from one uniform each (``u``, the shape of ``types``).
-
-    The last axis of ``types`` runs over the interferers of one network;
-    leading axes index independent networks. Random mode inverts each pair's
-    exact law through the row of the interferer's type in the cached bucket
-    table of ``_overlap_cdf``. Contiguous mode places every interferer's
-    window and intersects it with the typical window, which starts at
-    ``typical``: one start, or one per network (shape
-    ``types.shape[:-1] + (1,)``).
-    """
-    n_chunks = ba.n_chunks
-    if ba.mode is AllocationMode.RANDOM:
-        return _inverse_cdf(_overlap_cdf(n_chunks, k), _overlap_table(n_chunks, k), u, types - 1)
-    starts = _window_starts(n_chunks, types, u)
-    return np.maximum(0, np.minimum(typical + k, starts + types) - np.maximum(typical, starts))
 
 
 def _fading_where_shared(overlaps: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from bwalloc.allocation import _check_type, sample_type
+from bwalloc.allocation import _check_type, _window_starts, sample_type
 from bwalloc.params import AllocationMode, BandwidthConfig, NetworkParams
-from bwalloc.simulate import SimConfig, _window, _window_starts
+from bwalloc.simulate import SimConfig, _window
 
 
 @dataclass(frozen=True)

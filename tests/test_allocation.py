@@ -21,6 +21,7 @@ from bwalloc.allocation import (
     OverlapPmf,
     _inverse_cdf,
     _overlap_counts,
+    _overlap_law,
     _type_law,
     overlap_pmf,
     overlap_pmf_contiguous,
@@ -30,7 +31,6 @@ from bwalloc.allocation import (
 )
 from bwalloc.errors import ConfigError, DomainError
 from bwalloc.params import MAX_CHUNKS, AllocationMode, BandwidthConfig
-from bwalloc.simulate import _overlap_cdf, _overlap_table
 
 from reference_sampler import sample_chunk_set
 
@@ -161,6 +161,13 @@ def test_overlap_pmf_rejects_bad_support():
         OverlapPmf(3, 2, 2, (0, 1, 2), (Fraction(0), Fraction(1, 2), Fraction(1, 2)))
     with pytest.raises(DomainError):
         OverlapPmf(3, 2, 2, (1, 2), (Fraction(3, 4), Fraction(3, 4)))
+
+
+def test_overlap_pmf_rejects_bad_masses():
+    with pytest.raises(DomainError, match="equal length"):
+        OverlapPmf(3, 1, 1, (0, 1), (Fraction(1),))
+    with pytest.raises(DomainError, match="nonnegative"):
+        OverlapPmf(3, 1, 1, (0, 1), (Fraction(3, 2), Fraction(-1, 2)))
 
 
 def test_window_overlap_row_mean_collapses_mix():
@@ -408,7 +415,7 @@ def test_type_bucket_table_is_exact(name):
 @pytest.mark.parametrize("n", range(1, 11))
 def test_overlap_bucket_tables_are_exact(n):
     for k in range(1, n + 1):
-        cdf, table = _overlap_cdf(n, k), _overlap_table(n, k)
+        cdf, table = _overlap_law(n, k)
         assert table.shape == (n, _TABLE_BUCKETS)
         for i in range(n):
             _assert_table_exact(cdf[i], table[i])
@@ -425,7 +432,7 @@ def test_bucket_fallback_draws_match_the_search():
         sample_type(config, _FixedUniforms(u), u.shape), np.searchsorted(cdf, u, "right") + 1
     )
     # the same for the overlap rows, one per interferer type
-    cdf, table = _overlap_cdf(10, 4), _overlap_table(10, 4)
+    cdf, table = _overlap_law(10, 4)
     row, col = np.nonzero((cdf > 0.0) & (cdf < 1.0))
     row, u = np.tile(row, 2), np.concatenate([cdf[row, col], np.nextafter(cdf[row, col], 0.0)])
     assert np.any(table[row, (u * _TABLE_BUCKETS).astype(np.intp)] == -1)

@@ -118,6 +118,16 @@ def test_spec_validation():
         )
     with pytest.raises(ConfigError):
         _spec(**k_sweep, sweep=SweepSpec(SweepVariable.K, 1, 3, 3), compare_mixes=mix)
+    # mean_model: one of three metrics, each with its sweep variable
+    # (success_prob theta_db, the throughputs lambda)
+    mean_model = dict(metric=Metric.MEAN_MODEL, alt_type_probs=(0.3, 0.0, 0.7))
+    lam = SweepSpec(SweepVariable.LAMBDA, 0.01, 1.0, 3)
+    with pytest.raises(ConfigError, match="mean_model_metric must be one of"):
+        _spec(**mean_model, mean_model_metric="coverage")
+    with pytest.raises(ConfigError, match="success_prob sweeps theta_db"):
+        _spec(**mean_model, mean_model_metric="throughput")
+    with pytest.raises(ConfigError, match="success_prob sweeps theta_db"):
+        _spec(**mean_model, sweep=lam)
 
 
 def test_success_prob_rows_match_library():
@@ -683,6 +693,22 @@ def test_cli_validation_exit_code(tmp_path, capsys):
     assert main(["throughput", "--per-joule"]) == 1  # removed flag
     assert main(["throughput", "--sweep-var", "k", "--sweep", "1:3:5"]) == 1
     assert main(["figure"]) == 1  # missing name
+    assert main(["success-prob", "--sweep", "a:b:3"]) == 1
+    assert "bad sweep 'a:b:3'" in capsys.readouterr().err
+    for config in (tmp_path / "missing.ini", tmp_path):
+        assert main(["success-prob", "--config", str(config)]) == 1
+        assert "cannot read config" in capsys.readouterr().err
+
+
+def test_cli_figure_writes_the_preset(tmp_path, capsys):
+    out = tmp_path / "fig1.csv"
+    assert main(["figure", "fig1", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote 41 rows to {out}\n"
+    # the same file as the library call's, but for the echoed output path
+    _, _, path = run_figure("fig1", str(tmp_path / "library.csv"))
+    lines = [out.read_text().splitlines(), Path(path).read_text().splitlines()]
+    changed = [a for a, b in zip(*lines) if a != b]
+    assert len(lines[0]) == len(lines[1]) and changed == [f"# output = {out}"]
 
 
 def test_cli_throughput_k_sweep(tmp_path):

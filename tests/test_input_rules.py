@@ -251,3 +251,9 @@ def test_the_checkers_keep_valid_inputs():
 def test_single_type_rejects_a_non_integer_type(k):
     with pytest.raises(ConfigError):
         BandwidthConfig.single_type(3, k)
+
+
+@pytest.mark.parametrize("pathloss", [None, 4.0, (4.0, 1.0)])
+def test_network_params_rejects_a_pathloss_that_is_not_a_model(pathloss):
+    with pytest.raises(ConfigError, match="PathLossModel"):
+        NetworkParams(1.0, 1.0, pathloss)

@@ -205,6 +205,12 @@ def test_gauss_legendre_refuses_unsettled_roots(monkeypatch):
         metadist._gauss_legendre.__wrapped__(64)
 
 
+def test_regularized_beta_refuses_an_unsettled_fraction(monkeypatch):
+    monkeypatch.setattr(metadist, "_BETA_CF_TERMS", 2)
+    with pytest.raises(IntegrationError, match="did not settle in 2 terms"):
+        metadist._regularized_beta(5.0, 5.0, 0.3)
+
+
 def test_no_eigensolver_behind_any_preset(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the library called an eigensolver")

@@ -14,7 +14,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bwalloc.allocation import overlap_pmf, overlap_pmf_random, sample_type
+from bwalloc.allocation import (
+    _overlap_law,
+    _sample_overlaps,
+    _window_starts,
+    overlap_pmf,
+    overlap_pmf_random,
+    sample_type,
+)
 from bwalloc.errors import ConfigError, DomainError
 from bwalloc.meanmodel import mean_interference_k, mean_interference_overall
 from bwalloc.metadist import meta_ccdf_gilpelaez
@@ -36,11 +43,8 @@ from bwalloc.simulate import (
     EstimateWithCI,
     NetworkRealization,
     SimConfig,
-    _overlap_cdf,
     _realizations,
-    _sample_overlaps,
     _sir,
-    _window_starts,
     conditional_success_prob,
     estimate_mean_interference,
     estimate_meta_distribution,
@@ -189,7 +193,7 @@ def test_random_overlap_draw_follows_the_pair_law(n):
 def test_overlap_cdf_widest_band(k):
     # the cumulative counts exceed 2**53 at n = 64; each entry must still be
     # the exact cumulative pair law, rounded
-    cdf = _overlap_cdf(MAX_CHUNKS, k)
+    cdf, _ = _overlap_law(MAX_CHUNKS, k)
     assert cdf.shape == (MAX_CHUNKS, k)
     for i in range(1, MAX_CHUNKS + 1):
         pmf = overlap_pmf_random(MAX_CHUNKS, k, i)
@@ -278,6 +282,20 @@ def test_sir_single_full_overlap_cancels_type():
 def test_conditional_empty_pattern_is_one():
     real = _manual_realization([], [], [], k=1, h0=1.0)
     assert conditional_success_prob(real, BOUNDED, UNIFORM3, 1, 1.0) == 1.0
+    # the fully-empirical route draws nothing for it
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    mode = ConditionalMode.FULLY_EMPIRICAL
+    assert conditional_success_prob(real, BOUNDED, UNIFORM3, 1, 1.0, mode=mode, rng=rng) == 1.0
+    assert rng.bit_generator.state == state
+
+
+def test_empty_threshold_and_reliability_grids_are_rejected():
+    sim = SimConfig(n_realizations=1)
+    with pytest.raises(DomainError, match="thetas must be nonempty"):
+        success_prob_curve(BOUNDED, UNIFORM3, sim, 1, [])
+    with pytest.raises(DomainError, match="x_grid must be nonempty"):
+        estimate_meta_distribution(BOUNDED, UNIFORM3, sim, 1, 1.0, [])
 
 
 def test_conditional_single_interferer_hand_formula():
