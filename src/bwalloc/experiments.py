@@ -48,7 +48,7 @@ from .params import (
     _check_mix,
     _check_real,
 )
-from .simulate import SimConfig, success_prob_curve
+from .simulate import SimConfig, _success_curves, success_prob_curve
 
 
 def db_to_linear(theta_db: float) -> float:
@@ -483,13 +483,18 @@ def _mean_model_table(spec: ExperimentSpec):
 
 
 def _simulate_table(spec: ExperimentSpec):
-    """Like the success table, but each series is a ``success_prob_curve``;
-    an overall series draws the typical user's type per realization."""
+    """Like the success table, but each series is a ``success_prob_curve``:
+    the per-type series come from one pass over the networks, and an
+    overall series draws the typical user's type per realization."""
     net, sim, theta_dbs = spec.network, spec.sim, spec.sweep.values()
     thetas = [db_to_linear(db) for db in theta_dbs]
+    cells = _cells(spec)
+    # the fixed-type cells all read spec.bandwidth
+    fixed = [k for _, _, k in cells if k is not None]
+    curves = iter(_success_curves(net, spec.bandwidth, sim, fixed, thetas) if fixed else [])
     columns = [("theta_db", theta_dbs)]
-    for name, ba, k in _cells(spec):
-        curve = success_prob_curve(net, ba, sim, k, thetas)
+    for name, ba, k in cells:
+        curve = success_prob_curve(net, ba, sim, k, thetas) if k is None else next(curves)
         columns.append((f"sim_ps_{name}", [estimate.value for estimate in curve]))
         columns.append((f"se_{name}", [estimate.std_error for estimate in curve]))
     return _table(*columns)

@@ -18,10 +18,23 @@ fading of the interferers that share a chunk, the typical fading, then what
 the statistic draws itself. Estimates are therefore bit-reproducible and
 independent of any execution order.
 
-The loop and the fully-empirical conditional route share one marks draw
-(``_marks``), one interference sum and one SIR rule, which the loop
-statistics apply once over all networks and the empirical route once per
-block of redraws. ``SimConfig`` holds only what the loop reads.
+Each route stops after the last draw that it reads. The draws before the
+marks are one helper (``_networks``). The closed-form conditional route
+reads the distances, the typical type and the typical window, so it turns no
+uniform into a type or an overlap and draws no fading. The loop statistics
+stop after the typical fading, and only the fully-empirical route draws on.
+A fixed typical type draws nothing, so every fixed type sees the same draws
+up to the overlaps; and numpy's exponential draws are one stream
+(``exponential(1, M)[:m]``, then element m, are ``exponential(1, m)``, then
+``exponential(1)``). So one pass serves every fixed type: type k's m_k
+interferers that share a chunk and its typical fading read the first
+m_k + 1 values of one draw. The overall and mix curves keep their own pass,
+since their stream starts with the type draw.
+
+Every route that draws marks does so through one marks draw (``_marks``),
+and shares one interference sum and one SIR rule, which the loop statistics
+apply once over all networks and the empirical route once per block of
+redraws. ``SimConfig`` holds only what the loop reads.
 """
 
 from __future__ import annotations
@@ -127,8 +140,23 @@ class NetworkRealization:
 
 def realization_rng(seed: int, index: int) -> np.random.Generator:
     """Generator for one realization; the (seed, index) pair is the entire
-    entropy, which is what makes parallel fan-out deterministic."""
-    return np.random.default_rng([seed, index])
+    entropy, which is what makes parallel fan-out deterministic. It is
+    ``default_rng([seed, index])``, seeded with the uint32 words that
+    ``SeedSequence`` would split the pair into, which skips its conversion
+    of the list."""
+    words = np.array(_words(seed) + _words(index), dtype=np.uint32)
+    return np.random.Generator(np.random.PCG64(words))
+
+
+def _words(value: int) -> list[int]:
+    """The 32-bit words of a nonnegative integer, least significant first,
+    and at least one."""
+    if value < 0:
+        raise ValueError(f"expected a nonnegative integer, got {value}")
+    words = [value & 0xFFFFFFFF]
+    while value := value >> 32:
+        words.append(value & 0xFFFFFFFF)
+    return words
 
 
 def _window(net: NetworkParams, sim: SimConfig) -> float:
@@ -142,23 +170,42 @@ def _window(net: NetworkParams, sim: SimConfig) -> float:
     return radius
 
 
-def _marks(ba: BandwidthConfig, k: int, start: int, u_types, u_overlaps, rng):
-    """(shared-chunk counts, fading) of interferers with a type-k typical
-    user whose window starts at ``start``: the types invert ``u_types``,
-    the counts ``u_overlaps``, and only the interferers that share a chunk
-    draw unit-mean fading from ``rng``; the others interfere with nothing
-    and get 0. The last axis runs over the interferers of one network."""
-    overlap = _sample_overlaps(ba, k, _types_of(ba, u_types), u_overlaps, start)
-    fading = np.zeros(overlap.shape)
-    shared = overlap > 0
-    fading[shared] = rng.exponential(1.0, np.count_nonzero(shared))
-    return overlap, fading
+def _marks(ba: BandwidthConfig, typical, u_types, u_overlaps, rng, after: int = 1):
+    """The interferers' shared-chunk counts and fading, and the draws after
+    them, for each (type, window start) of a typical user in ``typical``:
+    three lists.
+
+    The types invert ``u_types`` and the counts ``u_overlaps``; the last
+    axis runs over the interferers of one network. The m_k interferers that
+    share a chunk with type k take, in order, the first m_k values of one
+    unit-mean exponential draw of max_k m_k + ``after`` values, and the
+    others, which interfere with nothing, get 0; the values from m_k on are
+    type k's own draws after its marks. numpy's exponential draws are one
+    stream, so each type sees what a draw of m_k values, then ``after``
+    more, would give it alone.
+    """
+    interferer_types = _types_of(ba, u_types)
+    overlaps = [
+        _sample_overlaps(ba, k, interferer_types, u_overlaps, start) for k, start in typical
+    ]
+    counts = [np.count_nonzero(overlap) for overlap in overlaps]
+    draws = rng.exponential(1.0, max(counts) + after)
+    fadings = [np.zeros(overlap.shape) for overlap in overlaps]
+    for fading, overlap in zip(fadings, overlaps):
+        np.place(fading, overlap > 0, draws)
+    return overlaps, fadings, [draws[m:] for m in counts]
 
 
 def _interference(overlap, fading, attenuation):
     """Interference at the typical receiver, in units of the per-chunk
-    power, summed over the interferers on the last axis."""
-    return (overlap * fading * attenuation).sum(axis=-1)
+    power, summed over the interferers on the last axis. An interferer that
+    shares no chunk adds exactly 0, also at infinite attenuation (distance 0
+    under the power law)."""
+    terms = overlap * fading
+    with np.errstate(invalid="ignore"):
+        terms *= attenuation
+    # the terms are >= 0 or nan, which only 0 * inf makes: fmax maps it to 0
+    return np.fmax(terms, 0.0, out=terms).sum(axis=-1)
 
 
 def _sir(signal, interference):
@@ -181,9 +228,9 @@ def conditional_success_prob(
 
     Both routes hold the distances and the typical window (``typical_start``
     in contiguous mode) fixed. The closed-form route averages fading and the
-    interferers' chunk draws exactly, yielding a product of per-interferer
-    factors over the window's row of ``window_overlap_table``. The empirical
-    route redraws the interferers' types, shared-chunk counts and fading.
+    interferers' chunk draws exactly (``_closed_form_conditional``). The
+    empirical route redraws the interferers' types, shared-chunk counts and
+    fading.
     """
     k = _check_type(ba.n_chunks, k, "k")
     theta = _check_theta(theta)
@@ -196,8 +243,7 @@ def conditional_success_prob(
         return 1.0
     start = real.typical_start if ba.mode is AllocationMode.CONTIGUOUS else 0
     if mode is ConditionalMode.CLOSED_FORM_GIVEN_PHI:
-        q = window_overlap_table(ba, k)[start]
-        return float(np.prod(1.0 - _interference_discount(_sir_scales(net, k, theta, dist), q)))
+        return _closed_form_conditional(net, ba, k, theta, dist, start)
 
     attenuation = net.pathloss.attenuation(dist)
     signal_scale = k * net.signal_attenuation()
@@ -208,19 +254,34 @@ def conditional_success_prob(
         m = min(block, n_fading_draws - done)
         # the types' uniforms, then the overlaps'
         u = rng.random((2, m, dist.size))
-        overlap, fading = _marks(ba, k, start, u[0], u[1], rng)
-        signal = signal_scale * rng.exponential(1.0, m)
+        # each redraw's typical fading follows the marks
+        (overlap,), (fading,), (h0,) = _marks(ba, [(k, start)], u[0], u[1], rng, m)
+        signal = signal_scale * h0
         hits += np.count_nonzero(_sir(signal, _interference(overlap, fading, attenuation)) > theta)
     return hits / n_fading_draws
 
 
-def _realizations(net: NetworkParams, ba: BandwidthConfig, sim: SimConfig, k: int | None):
-    """Yield (generator, sampled network) for every index of ``sim``; a
-    statistic may keep drawing from the generator. The distances are
-    uniform in the disk, drawn as radius * sqrt(U); no angles are drawn.
-    After the interferer count, the uniforms of the distances, the types,
-    the typical window (contiguous mode only) and the overlaps are one
-    ``rng.random`` block, which is the stream that separate calls draw."""
+def _closed_form_conditional(net, ba, k, theta, distance, start) -> float:
+    """Success probability of a type-k link given its interferers'
+    distances and its window start: a product of per-interferer factors
+    over the window's row of ``window_overlap_table``; 1 with no
+    interferers."""
+    q = window_overlap_table(ba, k)[start]
+    return float(np.prod(1.0 - _interference_discount(_sir_scales(net, k, theta, distance), q)))
+
+
+def _networks(net: NetworkParams, ba: BandwidthConfig, sim: SimConfig, k: int | None):
+    """Yield, for every index of ``sim``, what a network draws before its
+    marks: (generator, typical type, distances, the typical window's
+    uniform, the types' uniforms, the overlaps' uniforms).
+
+    The typical type is drawn from the mix only when ``k`` is None, so
+    every fixed type sees the same draws. The distances are uniform in the
+    disk, drawn as radius * sqrt(U); no angles are drawn. After the
+    interferer count, the uniforms of the distances, the types, the typical
+    window (contiguous mode only; None in random mode) and the overlaps are
+    one ``rng.random`` block, which is the stream that separate calls draw.
+    """
     if k is not None:
         k = _check_type(ba.n_chunks, k, "k")
     radius = _window(net, sim)
@@ -233,25 +294,55 @@ def _realizations(net: NetworkParams, ba: BandwidthConfig, sim: SimConfig, k: in
         k_typ = sample_type(ba, rng) if k is None else k
         count = int(rng.poisson(mean_count))
         u = rng.random(3 * count + window)
-        distance = radius * np.sqrt(u[:count])
-        start = 0 if random else int(_window_starts(ba.n_chunks, k_typ, u[2 * count]))
-        u_types, u_overlaps = u[count : 2 * count], u[2 * count + window :]
-        overlap, fading = _marks(ba, k_typ, start, u_types, u_overlaps, rng)
-        typical_fading = float(rng.exponential(1.0))
-        yield rng, NetworkRealization(distance, overlap, fading, k_typ, typical_fading, start)
+        u_start = None if random else u[2 * count]
+        yield (
+            rng, k_typ, radius * np.sqrt(u[:count]), u_start,
+            u[count : 2 * count], u[2 * count + window :],
+        )
 
 
-def _received(net: NetworkParams, ba: BandwidthConfig, sim: SimConfig, k: int | None):
+def _typical_start(ba: BandwidthConfig, k: int, u_start) -> int:
+    """The window start that ``u_start`` places a type-k typical user at;
+    0 in random mode."""
+    return 0 if u_start is None else int(_window_starts(ba.n_chunks, k, u_start))
+
+
+def _realizations(net: NetworkParams, ba: BandwidthConfig, sim: SimConfig, k: int | None):
+    """Yield (generator, sampled network) for every index of ``sim``: the
+    draws of ``_networks``, then the marks and the typical fading; a
+    statistic may keep drawing from the generator."""
+    for rng, k_typ, distance, u_start, u_types, u_overlaps in _networks(net, ba, sim, k):
+        start = _typical_start(ba, k_typ, u_start)
+        (overlap,), (fading,), (after,) = _marks(ba, [(k_typ, start)], u_types, u_overlaps, rng)
+        yield rng, NetworkRealization(distance, overlap, fading, k_typ, float(after[0]), start)
+
+
+def _received(net: NetworkParams, ba: BandwidthConfig, sim: SimConfig, types: list):
     """The typical types, signals and interferences of the loop's networks,
-    in units of the per-chunk power, as three arrays."""
+    in units of the per-chunk power: three (entry of ``types``, network)
+    arrays from one pass, each row what ``_realizations`` gives for its
+    entry. ``types`` lists fixed types, whose marks come from one ``_marks``
+    call per network, or is [None], which draws each network's typical type
+    from the mix."""
+    mix = types == [None]
+    if not mix:
+        types = [_check_type(ba.n_chunks, k, "k") for k in types]
+    fading = np.empty((len(types), sim.n_realizations))
+    interference = np.empty_like(fading)
     attenuation = net.pathloss.attenuation
-    received = (
-        (real.typical_type, real.typical_fading,
-         _interference(real.overlap, real.fading, attenuation(real.distance)))
-        for _, real in _realizations(net, ba, sim, k)
-    )
-    rows = np.fromiter(received, [("k", np.int64), ("h0", float), ("i", float)], sim.n_realizations)
-    return rows["k"], rows["k"] * rows["h0"] * net.signal_attenuation(), rows["i"]
+    drawn = []
+    for idx, (rng, k_typ, distance, u_start, u_types, u_overlaps) in enumerate(
+        _networks(net, ba, sim, types[0])
+    ):
+        drawn.append(k_typ)
+        users = [(k, _typical_start(ba, k, u_start)) for k in ([k_typ] if mix else types)]
+        marks = _marks(ba, users, u_types, u_overlaps, rng)
+        gain = attenuation(distance)
+        for j, (overlap, shared_fading, after) in enumerate(zip(*marks)):
+            interference[j, idx] = _interference(overlap, shared_fading, gain)
+            fading[j, idx] = after[0]
+    typical = np.array([drawn]) if mix else np.array(types)[:, None]
+    return typical, typical * fading * net.signal_attenuation(), interference
 
 
 def _binomial_estimate(hits: int, n: int) -> EstimateWithCI:
@@ -265,6 +356,20 @@ def _mean_estimate(values: np.ndarray, n_capped: int = 0) -> EstimateWithCI:
     return EstimateWithCI(float(values.mean()), std_error, n, n_capped)
 
 
+def _success_curves(net, ba, sim, types: list, thetas) -> list[list[EstimateWithCI]]:
+    """``success_prob_curve`` of each entry of ``types`` (as ``_received``
+    reads it), from one pass."""
+    thetas = np.array([_success_theta(theta) for theta in thetas], dtype=float)
+    if thetas.size == 0:
+        raise DomainError("thetas must be nonempty")
+    _, signal, interference = _received(net, ba, sim, types)
+    return [
+        [_binomial_estimate(int(h), sim.n_realizations)
+         for h in np.count_nonzero(sir[:, None] > thetas, axis=0)]
+        for sir in _sir(signal, interference)
+    ]
+
+
 def success_prob_curve(
     net: NetworkParams,
     ba: BandwidthConfig,
@@ -275,12 +380,7 @@ def success_prob_curve(
     """Empirical P(SIR > theta) on a threshold grid, sharing one realization
     set across all thresholds (common random numbers). ``k = None`` draws the
     typical type from the mix per realization."""
-    thetas = np.array([_success_theta(theta) for theta in thetas], dtype=float)
-    if thetas.size == 0:
-        raise DomainError("thetas must be nonempty")
-    _, signal, interference = _received(net, ba, sim, k)
-    hits = np.count_nonzero(_sir(signal, interference)[:, None] > thetas, axis=0)
-    return [_binomial_estimate(int(h), sim.n_realizations) for h in hits]
+    return _success_curves(net, ba, sim, [k], thetas)[0]
 
 
 def estimate_success_prob(
@@ -305,15 +405,30 @@ def estimate_meta_distribution(
     n_fading_draws: int = 1_000,
 ) -> list[EstimateWithCI]:
     """Empirical ccdf of the conditional success probability on ``x_grid``,
-    by the ``conditional_success_prob`` route ``mode``; the empirical route
-    redraws ``n_fading_draws`` times from each network's generator."""
+    by the ``conditional_success_prob`` route ``mode``. The closed-form
+    route reads only each network's distances, typical type and typical
+    window, so it draws no marks; the empirical route redraws
+    ``n_fading_draws`` times from each network's generator."""
     x_grid = np.array([_check_x(x) for x in x_grid], dtype=float)
     if x_grid.size == 0:
         raise DomainError("x_grid must be nonempty")
-    conditional = (
-        conditional_success_prob(real, net, ba, real.typical_type, theta, mode, n_fading_draws, rng)
-        for rng, real in _realizations(net, ba, sim, k)
-    )
+    theta = _check_theta(theta)
+    mode = _check_enum(mode, ConditionalMode, error=DomainError)
+    n_fading_draws = _check_int(n_fading_draws, "n_fading_draws", 1, error=DomainError)
+    if mode is ConditionalMode.CLOSED_FORM_GIVEN_PHI:
+        conditional = (
+            _closed_form_conditional(
+                net, ba, k_typ, theta, distance, _typical_start(ba, k_typ, u_start)
+            )
+            for _, k_typ, distance, u_start, _, _ in _networks(net, ba, sim, k)
+        )
+    else:
+        conditional = (
+            conditional_success_prob(
+                real, net, ba, real.typical_type, theta, mode, n_fading_draws, rng
+            )
+            for rng, real in _realizations(net, ba, sim, k)
+        )
     values = np.fromiter(conditional, float, sim.n_realizations)
     counts = np.count_nonzero(values[:, None] > x_grid, axis=0)
     return [_binomial_estimate(int(c), sim.n_realizations) for c in counts]
@@ -327,7 +442,7 @@ def estimate_throughput(
 ) -> EstimateWithCI:
     """Empirical Shannon throughput (k/n) * log2(1 + SIR); infinite-SIR
     realizations are capped at SIR_CAP and counted in ``n_capped``."""
-    types, signal, interference = _received(net, ba, sim, k)
+    types, signal, interference = (row[0] for row in _received(net, ba, sim, [k]))
     sir = _sir(signal, interference)
     # math.log2: numpy's vectorized log2 rounds about 1 in 1000 values differently
     rate = np.array([math.log2(1.0 + s) for s in np.minimum(sir, SIR_CAP)])
@@ -342,5 +457,5 @@ def estimate_mean_interference(
 ) -> EstimateWithCI:
     """Empirical mean interference power at a type-k receiver, with the
     per-chunk power reinstated."""
-    _, _, interference = _received(net, ba, sim, k)
-    return _mean_estimate(ba.power_per_chunk * interference)
+    _, _, interference = _received(net, ba, sim, [k])
+    return _mean_estimate(ba.power_per_chunk * interference[0])

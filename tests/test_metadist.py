@@ -75,6 +75,25 @@ def test_mirror_rows_share_one_profile(monkeypatch):
     assert all(profiles[s] is profiles[9 - s] for s in range(10))
 
 
+@pytest.mark.parametrize("k", [1, 3])
+def test_power_law_profiles_are_scale_free(k):
+    # with c0 = 0 the moment exponent is lambda R^2 theta^delta times a
+    # function of b, delta and the overlap law alone; R is the link distance
+    scaled = {}
+    for lam, theta, link in [(0.2, 1.0, 1.0), (0.01, 10.0, 1.0), (1.0, 0.1, 2.0)]:
+        net = NetworkParams(lam, link, PathLossModel.power_law(4.0))
+        (profile,) = metadist._profiles(net, UNIFORM3, k, theta)
+        unit = lam * link**2 * theta**net.pathloss.delta
+        for b in (1, 2.5, 7j, 31j):
+            scaled.setdefault(b, []).append(complex(profile.log_moment(b)) / unit)
+    for b, values in scaled.items():
+        first = values[0]
+        for value in values[1:]:
+            tol = 1e-12 * (1.0 + abs(first))
+            assert abs(value.real - first.real) <= tol, (b, values)
+            assert abs(value.imag - first.imag) <= tol, (b, values)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("theta", [0.1, 1.0, 10.0])
 def test_first_moment_equals_closed_form_power_law(k, theta):

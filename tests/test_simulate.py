@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from bwalloc import simulate
 from bwalloc.allocation import (
     _overlap_law,
     _sample_overlaps,
@@ -23,6 +24,14 @@ from bwalloc.allocation import (
     sample_type,
 )
 from bwalloc.errors import ConfigError, DomainError
+from bwalloc.experiments import (
+    ExperimentSpec,
+    Metric,
+    SweepSpec,
+    SweepVariable,
+    db_to_linear,
+    run_experiment,
+)
 from bwalloc.meanmodel import mean_interference_k, mean_interference_overall
 from bwalloc.metadist import meta_ccdf_gilpelaez
 from bwalloc.metrics import (
@@ -45,6 +54,7 @@ from bwalloc.simulate import (
     SimConfig,
     _interference,
     _realizations,
+    _received,
     _sir,
     conditional_success_prob,
     estimate_mean_interference,
@@ -96,6 +106,24 @@ def test_realizations_differ_across_indices():
     sim = SimConfig(n_realizations=2, seed=3)
     r0, r1 = [real for _, real in _realizations(BOUNDED, UNIFORM3, sim, 1)]
     assert r0.distance.size != r1.distance.size or not np.array_equal(r0.distance, r1.distance)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+@pytest.mark.parametrize("index", [0, 1, 2**32])
+def test_realization_rng_is_default_rng_of_the_pair(seed, index):
+    rng, expected = realization_rng(seed, index), np.random.default_rng([seed, index])
+    assert rng.bit_generator.state == expected.bit_generator.state
+    assert np.array_equal(rng.random(8), expected.random(8))
+
+
+@pytest.mark.parametrize("m", [0, 1, 17, 1000])
+def test_an_exponential_block_is_the_stream_of_shorter_draws(m):
+    # one _marks draw serves several typical types: type k's interferer
+    # fading and typical fading are the first m_k + 1 values of one block
+    block = np.random.default_rng(31).exponential(1.0, m + 5)
+    rng = np.random.default_rng(31)
+    assert np.array_equal(block[:m], rng.exponential(1.0, m))
+    assert block[m] == rng.exponential(1.0)
 
 
 def test_interferer_count_is_poisson():
@@ -271,6 +299,23 @@ def test_sir_single_full_overlap_cancels_type():
     real = _manual_realization([d], [2], [1.0], k=2, h0=1.0)
     expected = (1.0 / 2.0) / (1.0 / (1.0 + d**4))
     assert _sir_of(real, BOUNDED) == pytest.approx(expected / 1.0, rel=1e-12)
+
+
+def test_an_interferer_sharing_no_chunk_adds_zero_at_distance_zero():
+    # rng.random can return 0.0, where the power law's attenuation is inf
+    attenuation = PathLossModel.power_law(4.0).attenuation(np.array([0.0, 1.0]))
+    assert attenuation[0] == math.inf
+    assert _interference(np.array([0, 1]), np.array([0.0, 0.5]), attenuation) == 0.5
+    assert _interference(np.array([1, 1]), np.array([0.2, 0.5]), attenuation) == math.inf
+    overlap, fading = np.array([[0, 1], [0, 0]]), np.array([[0.0, 0.5], [0.0, 0.0]])
+    assert _interference(overlap, fading, attenuation).tolist() == [0.5, 0.0]
+    # finite terms sum as the plain product does
+    rng = np.random.default_rng(3)
+    overlap = rng.integers(0, 3, (4, 100))
+    fading = np.where(overlap > 0, rng.exponential(1.0, overlap.shape), 0.0)
+    attenuation = BOUNDED.pathloss.attenuation(50.0 * rng.random(100))
+    plain = (overlap * fading * attenuation).sum(axis=-1)
+    assert np.array_equal(_interference(overlap, fading, attenuation), plain)
 
 
 # ---------------------------------------------------------------------------
@@ -630,3 +675,69 @@ def test_conditional_values_are_pinned(mode, start, shared, empirical, closed_fo
     )
     assert value == empirical
     assert conditional_success_prob(real, BOUNDED, ba, 7, 1.0) == closed_form
+
+
+@pytest.mark.parametrize("mode", list(AllocationMode))
+@pytest.mark.parametrize("types", [list(range(1, 11)), [None]], ids=["fixed", "mix"])
+def test_received_rows_are_the_realization_loops(mode, types):
+    # one pass serves every fixed type; each row is its entry's own loop
+    ba = BandwidthConfig(10, _PIN_MIX, mode)
+    typical, signal, interference = _received(BOUNDED, ba, _PIN_SIM, types)
+    typical = np.broadcast_to(typical, signal.shape)
+    attenuation = BOUNDED.pathloss.attenuation
+    for row, k in enumerate(types):
+        for idx, (_, real) in enumerate(_realizations(BOUNDED, ba, _PIN_SIM, k)):
+            k_typ = real.typical_type
+            assert typical[row, idx] == k_typ
+            assert signal[row, idx] == k_typ * real.typical_fading * BOUNDED.signal_attenuation()
+            expected = _interference(real.overlap, real.fading, attenuation(real.distance))
+            assert interference[row, idx] == expected
+
+
+@pytest.mark.parametrize("mode", list(AllocationMode))
+@pytest.mark.parametrize("pinned_mix", [True, False], ids=["pin-mix", "uniform3"])
+def test_simulate_table_type_columns_are_the_separate_curves(mode, pinned_mix):
+    if pinned_mix:
+        ba = BandwidthConfig(10, _PIN_MIX, mode)
+    else:
+        ba = BandwidthConfig.uniform(3, mode=mode)
+    spec = ExperimentSpec(
+        Metric.SIMULATE,
+        SweepSpec(SweepVariable.THETA_DB, -10.0, 10.0, 5),
+        network=BOUNDED,
+        bandwidth=ba,
+        sim=_PIN_SIM,
+    )
+    header, rows = run_experiment(spec)
+    columns = dict(zip(header, map(list, zip(*rows))))
+    thetas = [db_to_linear(db) for db in columns["theta_db"]]
+    for k in [*range(1, ba.n_chunks + 1), None]:
+        name = "overall" if k is None else f"type_{k}"
+        curve = success_prob_curve(BOUNDED, ba, _PIN_SIM, k, thetas)
+        assert columns[f"sim_ps_{name}"] == [estimate.value for estimate in curve]
+        assert columns[f"se_{name}"] == [estimate.std_error for estimate in curve]
+
+
+class _Drawn(Exception):
+    pass
+
+
+def _refuse(name):
+    def draw(*args):
+        raise _Drawn(name)
+
+    return draw
+
+
+@pytest.mark.parametrize("mode", list(AllocationMode))
+@pytest.mark.parametrize("k", [3, None])
+def test_closed_form_meta_route_draws_no_marks(monkeypatch, mode, k):
+    for name in ("_marks", "_sample_overlaps"):
+        monkeypatch.setattr(simulate, name, _refuse(name))
+    ba = BandwidthConfig(10, _PIN_MIX, mode)
+    n = _PIN_SIM.n_realizations
+    ccdf = estimate_meta_distribution(BOUNDED, ba, _PIN_SIM, k, 1.0, _PIN_X)
+    assert [e.value for e in ccdf] == [c / n for c in _PINNED[(mode, k)][3]]
+    empirical = ConditionalMode.FULLY_EMPIRICAL
+    with pytest.raises(_Drawn, match="_marks"):
+        estimate_meta_distribution(BOUNDED, ba, _PIN_SIM, k, 1.0, _PIN_X, empirical, 10)

@@ -72,10 +72,11 @@ def _definitions(tree: ast.Module):
                     yield item.lineno, f"{node.name}.{item.name}"
 
 
-#: The functions, by module, that draw a network: the realization loop,
-#: its marks draw, and the chunk model's samplers in ``allocation``.
+#: The functions, by module, that draw a network: the draws before the
+#: marks, the realization loop, its marks draw, the loop statistics' pass,
+#: and the chunk model's samplers in ``allocation``.
 SAMPLING_PATH = {
-    "simulate.py": ("_realizations", "_marks"),
+    "simulate.py": ("_networks", "_typical_start", "_realizations", "_marks", "_received"),
     "allocation.py": (
         "sample_type",
         "_types_of",
@@ -88,8 +89,10 @@ SAMPLING_PATH = {
     ),
 }
 
-#: The mix-collapsed overlap table and the closed-form success kernel.
+#: The mix-collapsed overlap table, the closed-form success kernel and the
+#: closed-form conditional success probability.
 CLOSED_FORMS = {
+    "_closed_form_conditional",
     "window_overlap_table",
     "_window_overlap_table",
     "_weighted_rows",
@@ -148,7 +151,11 @@ def test_the_sampling_path_never_reads_the_closed_forms():
 def test_closed_form_check_flags_a_planted_load(tmp_path):
     (tmp_path / "simulate.py").write_text(
         "def _realizations(ba, k):\n    return window_overlap_table(ba, k)[0]\n\n\n"
-        "def _marks():\n    pass\n"
+        + "".join(
+            f"def {name}():\n    pass\n\n\n"
+            for name in SAMPLING_PATH["simulate.py"]
+            if name != "_realizations"
+        )
     )
     (tmp_path / "allocation.py").write_text(
         "".join(f"def {name}():\n    pass\n\n\n" for name in SAMPLING_PATH["allocation.py"])
