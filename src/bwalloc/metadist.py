@@ -158,19 +158,18 @@ def _interference_discount(scaled, q):
     return (q[1:, None] * frac).sum(axis=0)
 
 
-def _sir_scales(net, k, theta, r):
-    """s_t(r) = theta (t/k) l(r)/l(R), one row per overlap t = 1..k."""
+def _sir_scales(net, k, theta, r, signal):
+    """s_t(r) = theta (t/k) l(r)/l(R), one row per overlap t = 1..k, where
+    ``signal`` is l(R), ``net.signal_attenuation()``."""
     ts = np.arange(1, k + 1, dtype=float)
-    ratio = np.atleast_1d(
-        np.asarray(net.pathloss.attenuation(r), dtype=float) / net.signal_attenuation()
-    )
+    ratio = np.atleast_1d(np.asarray(net.pathloss.attenuation(r), dtype=float) / signal)
     return theta * (ts / k)[:, None] * ratio[None, :]
 
 
 def _log_survival(net, k, theta, r, q):
     """log(1 - h(r)) at finite attenuations: log1p(-h) where h <= 1/2, else
     log(q_0 + sum_t q_t / (1 + s_t)), which keeps a small 1 - h's digits."""
-    scaled = _sir_scales(net, k, theta, r)
+    scaled = _sir_scales(net, k, theta, r, net.signal_attenuation())
     h = _interference_discount(scaled, q)
     survival = q[0] + (q[1:, None] / (1.0 + scaled)).sum(axis=0)
     return np.where(h <= 0.5, np.log1p(-np.minimum(h, 0.5)), np.log(survival))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 
@@ -171,9 +172,10 @@ class PathLossModel:
 
     def attenuation(self, r):
         """Evaluate the attenuation at distance(s) ``r``; inf at r = 0 for
-        the pure power law."""
+        the pure power law, the only case that divides by zero."""
         r = np.asarray(r, dtype=float)
-        with np.errstate(divide="ignore"):
+        guard = nullcontext() if self.c0 > 0.0 else np.errstate(divide="ignore")
+        with guard:
             out = 1.0 / (self.c0 + r**self.alpha)
         if out.ndim == 0:
             return float(out)

@@ -35,11 +35,28 @@ Every route that draws marks does so through one marks draw (``_marks``),
 and shares one interference sum and one SIR rule, which the loop statistics
 apply once over all networks and the empirical route once per block of
 redraws. ``SimConfig`` holds only what the loop reads.
+
+Every loop runs through one helper (``_in_blocks``), which splits the
+indices 0..n-1 into B contiguous blocks in index order (block j holds
+floor(j n / B) up to floor((j + 1) n / B)). Each block carries at least
+``_BLOCK_WORK`` of work (realizations x mean interferer count x typical
+types served), B is at most ``_MAX_BLOCKS`` and a multiple of the number
+of processes W, and W is at most the CPUs of the process's affinity mask.
+The caller and W - 1 workers made with ``os.fork`` take blocks one at a
+time until none is left, and the blocks' arrays are joined in index order.
+Since each network's draws depend on (seed, index) alone, no output
+depends on B, W or which process ran which block. The loop stays serial
+below two blocks of work, with one usable CPU, without ``os.fork`` or
+``os.sched_getaffinity`` and while another Python thread runs.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import threading
+from signal import SIGKILL
 from dataclasses import dataclass
 from enum import Enum
 
@@ -47,7 +64,9 @@ import numpy as np
 
 from .allocation import (
     _check_type,
+    _overlap_law,
     _sample_overlaps,
+    _type_law,
     _types_of,
     _window_starts,
     sample_type,
@@ -72,6 +91,12 @@ SIR_CAP = 1e9
 #: Default simulation disk radius, in units of the link distance.
 DEFAULT_WINDOW_FACTOR = 50.0
 _MIN_WINDOW_FACTOR = 10.0
+
+#: Least work that each block of a forked realization loop carries, in
+#: interferers: realizations x mean interferer count x typical types served;
+#: and the most blocks, each handed out as one byte through a pipe.
+_BLOCK_WORK = 500_000
+_MAX_BLOCKS = 256
 
 
 class ConditionalMode(str, Enum):
@@ -243,7 +268,7 @@ def conditional_success_prob(
         return 1.0
     start = real.typical_start if ba.mode is AllocationMode.CONTIGUOUS else 0
     if mode is ConditionalMode.CLOSED_FORM_GIVEN_PHI:
-        return _closed_form_conditional(net, ba, k, theta, dist, start)
+        return _closed_form_conditional(net, ba, k, theta, dist, start, net.signal_attenuation())
 
     attenuation = net.pathloss.attenuation(dist)
     signal_scale = k * net.signal_attenuation()
@@ -261,19 +286,22 @@ def conditional_success_prob(
     return hits / n_fading_draws
 
 
-def _closed_form_conditional(net, ba, k, theta, distance, start) -> float:
+def _closed_form_conditional(net, ba, k, theta, distance, start, signal) -> float:
     """Success probability of a type-k link given its interferers'
     distances and its window start: a product of per-interferer factors
     over the window's row of ``window_overlap_table``; 1 with no
-    interferers."""
+    interferers. ``signal`` is ``net.signal_attenuation()``."""
     q = window_overlap_table(ba, k)[start]
-    return float(np.prod(1.0 - _interference_discount(_sir_scales(net, k, theta, distance), q)))
+    scaled = _sir_scales(net, k, theta, distance, signal)
+    return float(np.prod(1.0 - _interference_discount(scaled, q)))
 
 
-def _networks(net: NetworkParams, ba: BandwidthConfig, sim: SimConfig, k: int | None):
-    """Yield, for every index of ``sim``, what a network draws before its
-    marks: (generator, typical type, distances, the typical window's
-    uniform, the types' uniforms, the overlaps' uniforms).
+def _networks(
+    net: NetworkParams, ba: BandwidthConfig, sim: SimConfig, k: int | None, lo: int, hi: int
+):
+    """Yield, for every index of ``sim`` in [lo, hi), what a network draws
+    before its marks: (generator, typical type, distances, the typical
+    window's uniform, the types' uniforms, the overlaps' uniforms).
 
     The typical type is drawn from the mix only when ``k`` is None, so
     every fixed type sees the same draws. The distances are uniform in the
@@ -289,7 +317,7 @@ def _networks(net: NetworkParams, ba: BandwidthConfig, sim: SimConfig, k: int | 
     random = ba.mode is AllocationMode.RANDOM
     # random mode has one overlap-table row and draws no typical window
     window = 0 if random else 1
-    for idx in range(sim.n_realizations):
+    for idx in range(lo, hi):
         rng = realization_rng(sim.seed, idx)
         k_typ = sample_type(ba, rng) if k is None else k
         count = int(rng.poisson(mean_count))
@@ -307,11 +335,20 @@ def _typical_start(ba: BandwidthConfig, k: int, u_start) -> int:
     return 0 if u_start is None else int(_window_starts(ba.n_chunks, k, u_start))
 
 
-def _realizations(net: NetworkParams, ba: BandwidthConfig, sim: SimConfig, k: int | None):
-    """Yield (generator, sampled network) for every index of ``sim``: the
-    draws of ``_networks``, then the marks and the typical fading; a
-    statistic may keep drawing from the generator."""
-    for rng, k_typ, distance, u_start, u_types, u_overlaps in _networks(net, ba, sim, k):
+def _realizations(
+    net: NetworkParams,
+    ba: BandwidthConfig,
+    sim: SimConfig,
+    k: int | None,
+    lo: int = 0,
+    hi: int | None = None,
+):
+    """Yield (generator, sampled network) for every index of ``sim`` in
+    [lo, hi) (by default all of them): the draws of ``_networks``, then the
+    marks and the typical fading; a statistic may keep drawing from the
+    generator."""
+    hi = sim.n_realizations if hi is None else hi
+    for rng, k_typ, distance, u_start, u_types, u_overlaps in _networks(net, ba, sim, k, lo, hi):
         start = _typical_start(ba, k_typ, u_start)
         (overlap,), (fading,), (after,) = _marks(ba, [(k_typ, start)], u_types, u_overlaps, rng)
         yield rng, NetworkRealization(distance, overlap, fading, k_typ, float(after[0]), start)
@@ -327,22 +364,149 @@ def _received(net: NetworkParams, ba: BandwidthConfig, sim: SimConfig, types: li
     mix = types == [None]
     if not mix:
         types = [_check_type(ba.n_chunks, k, "k") for k in types]
-    fading = np.empty((len(types), sim.n_realizations))
-    interference = np.empty_like(fading)
     attenuation = net.pathloss.attenuation
-    drawn = []
-    for idx, (rng, k_typ, distance, u_start, u_types, u_overlaps) in enumerate(
-        _networks(net, ba, sim, types[0])
-    ):
-        drawn.append(k_typ)
-        users = [(k, _typical_start(ba, k, u_start)) for k in ([k_typ] if mix else types)]
-        marks = _marks(ba, users, u_types, u_overlaps, rng)
-        gain = attenuation(distance)
-        for j, (overlap, shared_fading, after) in enumerate(zip(*marks)):
-            interference[j, idx] = _interference(overlap, shared_fading, gain)
-            fading[j, idx] = after[0]
-    typical = np.array([drawn]) if mix else np.array(types)[:, None]
+
+    def block(lo, hi):
+        # the networks' typical types, and (entry, network) fading and interference
+        drawn = np.empty(hi - lo, dtype=np.int64)
+        fading = np.empty((len(types), hi - lo))
+        interference = np.empty_like(fading)
+        for idx, (rng, k_typ, distance, u_start, u_types, u_overlaps) in enumerate(
+            _networks(net, ba, sim, types[0], lo, hi)
+        ):
+            drawn[idx] = k_typ
+            users = [(k, _typical_start(ba, k, u_start)) for k in ([k_typ] if mix else types)]
+            marks = _marks(ba, users, u_types, u_overlaps, rng)
+            gain = attenuation(distance)
+            for j, (overlap, shared_fading, after) in enumerate(zip(*marks)):
+                interference[j, idx] = _interference(overlap, shared_fading, gain)
+                fading[j, idx] = after[0]
+        return drawn, fading, interference
+
+    drawn, fading, interference = _in_blocks(
+        net, sim, len(types), block, lambda: _fill_laws(ba, types, closed_form=False)
+    )
+    typical = drawn[None, :] if mix else np.array(types)[:, None]
     return typical, typical * fading * net.signal_attenuation(), interference
+
+
+def _fill_laws(ba: BandwidthConfig, types: list, closed_form: bool) -> None:
+    """Build the cached laws that a pass over ``types`` (as ``_received``
+    reads the list) reads: the mix's, and each typical type's overlap table
+    on the closed-form conditional route or its random-mode pair law
+    otherwise. Forked workers inherit them instead of each building its own."""
+    _type_law(ba)
+    for k in (np.flatnonzero(ba.type_probs) + 1).tolist() if types == [None] else types:
+        if closed_form:
+            window_overlap_table(ba, k)
+        elif ba.mode is AllocationMode.RANDOM:
+            _overlap_law(ba.n_chunks, k)
+
+
+def _workers(blocks: int) -> int:
+    """How many processes share ``blocks`` blocks: as many as the usable
+    CPUs and the blocks allow. One (the loop stays serial) below two
+    blocks, where ``os.fork`` or ``os.sched_getaffinity`` is missing, and
+    while another Python thread runs, since a forked worker holds only the
+    forking thread."""
+    forkable = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    if blocks < 2 or not forkable or threading.active_count() > 1:
+        return 1
+    return min(blocks, len(os.sched_getaffinity(0)))
+
+
+def _in_blocks(net: NetworkParams, sim: SimConfig, n_types: int, block, fill_laws):
+    """``block(lo, hi)`` over contiguous blocks of ``range(sim.n_realizations)``,
+    joined in index order: ``block`` returns a tuple of arrays whose last
+    axis runs over the networks lo..hi-1, and each array of the result is
+    its blocks' concatenation along that axis.
+
+    The work is realizations x mean interferer count x ``n_types``, and
+    each block carries at least ``_BLOCK_WORK`` of it. When the loop is
+    split, ``fill_laws()`` builds the cached laws first, workers made with
+    ``os.fork`` join the caller, and each process takes the next block from
+    a pipe until none is left, so a process on a slower CPU takes fewer. A
+    worker sends its blocks, or its exception, through a pipe and exits
+    without returning; the caller re-raises a worker's exception, and kills
+    and reaps every worker on its way out. Each network's draws depend only
+    on (seed, index), so the result is the serial loop's, bit for bit.
+    """
+    n = sim.n_realizations
+    radius = _window(net, sim)
+    work = n * n_types * net.intensity * math.pi * radius * radius
+    blocks = min(n, int(work // _BLOCK_WORK), _MAX_BLOCKS)
+    workers = _workers(blocks)
+    if workers == 1:
+        return block(0, n)
+    fill_laws()
+    # whole rounds, so that processes of equal speed finish together
+    blocks -= blocks % workers
+    bounds = [n * j // blocks for j in range(blocks + 1)]
+    queue, write = os.pipe()
+
+    def take():
+        # (index, arrays) of each block that this process takes from the queue
+        taken = []
+        while token := os.read(queue, 1):
+            j = token[0]
+            taken.append((j, block(bounds[j], bounds[j + 1])))
+        return taken
+
+    pids, readers = [], []
+    try:
+        with os.fdopen(write, "wb") as tokens:
+            tokens.write(bytes(range(blocks)))
+        for _ in range(workers - 1):
+            read, write = os.pipe()
+            readers.append(os.fdopen(read, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _worker(take, write)
+                pids.append(pid)
+            finally:
+                os.close(write)
+        parts = take()
+        for reader in readers:
+            parts += _worker_result(reader)
+    finally:
+        for pid in pids:
+            os.kill(pid, SIGKILL)
+        for pid in pids:
+            os.waitpid(pid, 0)
+        for reader in readers:
+            reader.close()
+        os.close(queue)
+    parts.sort(key=lambda part: part[0])
+    return tuple(np.concatenate(arrays, axis=-1) for arrays in zip(*(a for _, a in parts)))
+
+
+def _worker(run, write: int):
+    """A forked worker's whole life: call ``run()``, send (True, result) or
+    (False, exception) through the pipe end ``write`` and exit the process.
+    It never returns into the caller's stack."""
+    try:
+        try:
+            result = True, run()
+        except BaseException as exc:  # the caller re-raises it
+            result = False, exc
+        data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(data)
+    finally:
+        os._exit(0)
+
+
+def _worker_result(reader):
+    """What a worker sent through ``reader``: its arrays, or its exception
+    raised here."""
+    data = reader.read()
+    if not data:
+        raise ChildProcessError("a Monte Carlo worker exited without a result")
+    ok, value = pickle.loads(data)
+    if not ok:
+        raise value
+    return value
 
 
 def _binomial_estimate(hits: int, n: int) -> EstimateWithCI:
@@ -415,21 +579,29 @@ def estimate_meta_distribution(
     theta = _check_theta(theta)
     mode = _check_enum(mode, ConditionalMode, error=DomainError)
     n_fading_draws = _check_int(n_fading_draws, "n_fading_draws", 1, error=DomainError)
-    if mode is ConditionalMode.CLOSED_FORM_GIVEN_PHI:
-        conditional = (
-            _closed_form_conditional(
-                net, ba, k_typ, theta, distance, _typical_start(ba, k_typ, u_start)
+    if k is not None:
+        k = _check_type(ba.n_chunks, k, "k")
+    closed_form = mode is ConditionalMode.CLOSED_FORM_GIVEN_PHI
+    signal = net.signal_attenuation()
+
+    def block(lo, hi):
+        if closed_form:
+            conditional = (
+                _closed_form_conditional(
+                    net, ba, k_typ, theta, distance, _typical_start(ba, k_typ, u_start), signal
+                )
+                for _, k_typ, distance, u_start, _, _ in _networks(net, ba, sim, k, lo, hi)
             )
-            for _, k_typ, distance, u_start, _, _ in _networks(net, ba, sim, k)
-        )
-    else:
-        conditional = (
-            conditional_success_prob(
-                real, net, ba, real.typical_type, theta, mode, n_fading_draws, rng
+        else:
+            conditional = (
+                conditional_success_prob(
+                    real, net, ba, real.typical_type, theta, mode, n_fading_draws, rng
+                )
+                for rng, real in _realizations(net, ba, sim, k, lo, hi)
             )
-            for rng, real in _realizations(net, ba, sim, k)
-        )
-    values = np.fromiter(conditional, float, sim.n_realizations)
+        return (np.fromiter(conditional, float, hi - lo),)
+
+    (values,) = _in_blocks(net, sim, 1, block, lambda: _fill_laws(ba, [k], closed_form))
     counts = np.count_nonzero(values[:, None] > x_grid, axis=0)
     return [_binomial_estimate(int(c), sim.n_realizations) for c in counts]
 

@@ -5,6 +5,9 @@ agreement thresholds are 3 standard errors unless noted.
 """
 
 import math
+import os
+import threading
+import time
 from collections import Counter, defaultdict
 from itertools import accumulate
 
@@ -18,6 +21,7 @@ from bwalloc import simulate
 from bwalloc.allocation import (
     _overlap_law,
     _sample_overlaps,
+    _window_overlap_table,
     _window_starts,
     overlap_pmf,
     overlap_pmf_random,
@@ -316,6 +320,16 @@ def test_an_interferer_sharing_no_chunk_adds_zero_at_distance_zero():
     attenuation = BOUNDED.pathloss.attenuation(50.0 * rng.random(100))
     plain = (overlap * fading * attenuation).sum(axis=-1)
     assert np.array_equal(_interference(overlap, fading, attenuation), plain)
+
+
+def test_attenuation_guards_only_the_power_law_origin():
+    # only c0 = 0 divides by zero, at r = 0, which gives inf with no warning
+    r = np.array([0.0, 0.5, 3.0])
+    with np.errstate(divide="raise"):
+        assert PathLossModel.power_law(4.0).attenuation(r).tolist() == [math.inf, 16.0, 1 / 81]
+        assert PathLossModel.power_law(4.0).attenuation(0.0) == math.inf
+        bounded = PathLossModel.bounded(4.0, 1.0).attenuation(r)
+    assert bounded.tolist() == (1.0 / (1.0 + r**4.0)).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -741,3 +755,209 @@ def test_closed_form_meta_route_draws_no_marks(monkeypatch, mode, k):
     empirical = ConditionalMode.FULLY_EMPIRICAL
     with pytest.raises(_Drawn, match="_marks"):
         estimate_meta_distribution(BOUNDED, ba, _PIN_SIM, k, 1.0, _PIN_X, empirical, 10)
+
+
+def test_closed_form_meta_route_reads_the_signal_attenuation_once(monkeypatch):
+    calls = []
+    signal_attenuation = NetworkParams.signal_attenuation
+
+    def counted(net):
+        calls.append(None)
+        return signal_attenuation(net)
+
+    monkeypatch.setattr(NetworkParams, "signal_attenuation", counted)
+    estimate_meta_distribution(BOUNDED, UNIFORM3, _PIN_SIM, None, 1.0, _PIN_X)
+    assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# the loop forked across processes: the same arrays as the serial loop, and
+# no worker left behind
+
+
+def _fan_out(monkeypatch, cpus=2):
+    """Fork every loop across ``cpus`` processes, which share 8 blocks
+    (6 with 3 processes) of _PIN_SIM's 30 networks, and count the forks."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(simulate, "_BLOCK_WORK", 1)
+    monkeypatch.setattr(simulate, "_MAX_BLOCKS", 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+def _every_route(ba, k):
+    """Each route's output, as arrays or estimates, in a list."""
+    empirical = ConditionalMode.FULLY_EMPIRICAL
+    routes = [
+        lambda: _received(BOUNDED, ba, _PIN_SIM, list(range(1, ba.n_chunks + 1))),
+        lambda: success_prob_curve(BOUNDED, ba, _PIN_SIM, k, [0.1, 1.0, 10.0]),
+        lambda: estimate_throughput(BOUNDED, ba, _PIN_SIM, k),
+        lambda: estimate_mean_interference(BOUNDED, ba, _PIN_SIM, k),
+        lambda: estimate_meta_distribution(BOUNDED, ba, _PIN_SIM, k, 1.0, _PIN_X),
+        lambda: estimate_meta_distribution(BOUNDED, ba, _PIN_SIM, k, 1.0, _PIN_X, empirical, 20),
+    ]
+    outputs = []
+    for route in routes:
+        outputs.append(route())
+        assert _no_children()
+    return outputs
+
+
+@pytest.mark.parametrize("mode", list(AllocationMode))
+@pytest.mark.parametrize("k", [3, None])
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_forked_routes_are_the_serial_loop(monkeypatch, mode, k, cpus):
+    ba = BandwidthConfig(10, _PIN_MIX, mode)
+    serial = _every_route(ba, k)
+    forks = _fan_out(monkeypatch, cpus)
+    forked = _every_route(ba, k)
+    assert len(forks) == (cpus - 1) * len(serial)
+    received, *estimates = forked
+    assert all(map(np.array_equal, received, serial[0]))
+    assert estimates == serial[1:]
+
+
+@pytest.mark.parametrize("mode", list(AllocationMode))
+def test_forked_simulate_table_is_the_serial_table(monkeypatch, mode):
+    spec = ExperimentSpec(
+        Metric.SIMULATE,
+        SweepSpec(SweepVariable.THETA_DB, -10.0, 10.0, 5),
+        network=BOUNDED,
+        bandwidth=BandwidthConfig(10, _PIN_MIX, mode),
+        sim=_PIN_SIM,
+    )
+    serial = run_experiment(spec)
+    forks = _fan_out(monkeypatch)
+    assert run_experiment(spec) == serial
+    assert forks and _no_children()
+
+
+def test_the_caller_builds_the_laws_before_it_forks(monkeypatch):
+    # every process then reads the laws of the pass's typical types (the
+    # six in _PIN_MIX) from the cache that the workers inherit
+    _fan_out(monkeypatch)
+    monkeypatch.setattr(simulate, "_networks", _refuse("_networks"))
+    ba = BandwidthConfig(10, _PIN_MIX, AllocationMode.RANDOM)
+    _overlap_law.cache_clear()
+    _window_overlap_table.cache_clear()
+    with pytest.raises(_Drawn):
+        success_prob_curve(BOUNDED, ba, _PIN_SIM, None, [1.0])
+    assert _overlap_law.cache_info().currsize == 6
+    with pytest.raises(_Drawn):
+        estimate_meta_distribution(BOUNDED, ba, _PIN_SIM, None, 1.0, _PIN_X)
+    assert _window_overlap_table.cache_info().currsize == 6
+    assert _no_children()
+
+
+class _WorkerFailed(Exception):
+    pass
+
+
+def _patch_rng(monkeypatch, caller=None, worker=None):
+    """Make realization_rng call ``caller()`` in the calling process and
+    ``worker()`` in a forked worker before it draws; None draws at once."""
+    make, home = simulate.realization_rng, os.getpid()
+
+    def rng(seed, index):
+        hook = caller if os.getpid() == home else worker
+        if hook is not None:
+            hook()
+        return make(seed, index)
+
+    monkeypatch.setattr(simulate, "realization_rng", rng)
+
+
+def _raise(exc):
+    def hook():
+        raise exc
+
+    return hook
+
+
+def test_a_worker_exception_reaches_the_caller(monkeypatch):
+    _fan_out(monkeypatch)
+    _patch_rng(monkeypatch, worker=_raise(_WorkerFailed("in a worker")))
+    with pytest.raises(_WorkerFailed, match="in a worker"):
+        success_prob_curve(BOUNDED, UNIFORM3, _PIN_SIM, 1, [1.0])
+    assert _no_children()
+
+
+def test_a_worker_exception_that_cannot_be_sent_still_fails(monkeypatch):
+    class Local(Exception):  # pickle cannot name a local class
+        pass
+
+    _fan_out(monkeypatch)
+    _patch_rng(monkeypatch, worker=_raise(Local()))
+    with pytest.raises(ChildProcessError, match="without a result"):
+        estimate_mean_interference(BOUNDED, UNIFORM3, _PIN_SIM, 1)
+    assert _no_children()
+
+
+def test_an_interrupted_caller_kills_its_workers(monkeypatch):
+    # the worker would sleep for a minute; the caller's interrupt kills it
+    _fan_out(monkeypatch)
+    _patch_rng(monkeypatch, caller=_raise(KeyboardInterrupt()), worker=lambda: time.sleep(60.0))
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        estimate_throughput(BOUNDED, UNIFORM3, _PIN_SIM, 1)
+    assert time.monotonic() - start < 30.0
+    assert _no_children()
+
+
+def _refuse_fork(monkeypatch):
+    monkeypatch.setattr(simulate, "_BLOCK_WORK", 1)
+    monkeypatch.setattr(os, "fork", _refuse("fork"))
+
+
+def test_one_usable_cpu_stays_serial(monkeypatch):
+    expected = success_prob_curve(BOUNDED, UNIFORM3, _PIN_SIM, None, [1.0])
+    _refuse_fork(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert success_prob_curve(BOUNDED, UNIFORM3, _PIN_SIM, None, [1.0]) == expected
+
+
+def test_a_second_python_thread_keeps_the_loop_serial(monkeypatch):
+    expected = success_prob_curve(BOUNDED, UNIFORM3, _PIN_SIM, None, [1.0])
+    _refuse_fork(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert success_prob_curve(BOUNDED, UNIFORM3, _PIN_SIM, None, [1.0]) == expected
+    finally:
+        release.set()
+        thread.join(timeout=10.0)
+    assert not thread.is_alive()
+
+
+def test_no_fork_stays_serial(monkeypatch):
+    expected = estimate_throughput(BOUNDED, UNIFORM3, _PIN_SIM, 2)
+    monkeypatch.setattr(simulate, "_BLOCK_WORK", 1)
+    monkeypatch.delattr(os, "fork")
+    assert estimate_throughput(BOUNDED, UNIFORM3, _PIN_SIM, 2) == expected
+
+
+def test_small_loops_stay_serial(monkeypatch):
+    # 100 realizations of the reference network are about 157,000
+    # interferers, under two blocks' worth of work; 8000 are 25 blocks
+    monkeypatch.setattr(os, "fork", _refuse("fork"))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    sim = SimConfig(n_realizations=100, seed=3)
+    estimate_throughput(BOUNDED, UNIFORM3, sim, None)
+    estimate_meta_distribution(BOUNDED, UNIFORM3, sim, 2, 1.0, [0.5])
+    with pytest.raises(_Drawn, match="fork"):
+        estimate_throughput(BOUNDED, UNIFORM3, replace(sim, n_realizations=8000), None)

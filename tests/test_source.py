@@ -1,7 +1,7 @@
 """Checks on the library source, read with ``ast`` only: every import is
 used, every private module-level name or method is referenced somewhere in
-the library, and the simulator's sampling path never reads the closed forms
-that it cross-checks."""
+the library, the simulator's sampling path never reads the closed forms
+that it cross-checks, and only the realization loop's fan-out forks."""
 
 import ast
 from pathlib import Path
@@ -115,6 +115,30 @@ def closed_form_loads(modules: dict[str, ast.Module]) -> list[str]:
     return found
 
 
+def _calls_fork(node: ast.AST) -> bool:
+    """Whether ``node`` calls ``os.fork``, or a bare ``fork`` imported from
+    ``os``."""
+    return any(
+        isinstance(call, ast.Call)
+        and (
+            (isinstance(call.func, ast.Attribute) and call.func.attr == "fork")
+            or (isinstance(call.func, ast.Name) and call.func.id == "fork")
+        )
+        for call in ast.walk(node)
+    )
+
+
+def fork_callers(modules: dict[str, ast.Module]) -> list[str]:
+    """Each module-level definition (by name) or statement (by line) that
+    forks a process."""
+    return [
+        f"{name} {getattr(node, 'name', f'line {node.lineno}')}"
+        for name, tree in modules.items()
+        for node in tree.body
+        if _calls_fork(node)
+    ]
+
+
 def unreferenced_private_names(modules: dict[str, ast.Module]) -> list[str]:
     referenced = set().union(*map(_loaded, modules.values()))
     return [
@@ -162,4 +186,23 @@ def test_closed_form_check_flags_a_planted_load(tmp_path):
     )
     assert closed_form_loads(_modules(tmp_path)) == [
         "simulate.py _realizations window_overlap_table"
+    ]
+
+
+def test_only_the_fan_out_forks():
+    assert fork_callers(_modules()) == ["simulate.py _in_blocks"]
+
+
+def test_fork_check_flags_a_planted_call(tmp_path):
+    (tmp_path / "simulate.py").write_text(
+        "import os\nfrom os import fork\n\n\ndef _in_blocks():\n    return os.fork()\n\n\n"
+        "def spawn():\n    return os.fork()\n\n\nclass Pool:\n    def start(self):\n"
+        "        return fork()\n"
+    )
+    (tmp_path / "allocation.py").write_text("import os\n\nPID = os.fork()\n")
+    assert fork_callers(_modules(tmp_path)) == [
+        "allocation.py line 3",
+        "simulate.py _in_blocks",
+        "simulate.py spawn",
+        "simulate.py Pool",
     ]
