@@ -31,6 +31,14 @@ interferers that share a chunk and its typical fading read the first
 m_k + 1 values of one draw. The overall and mix curves keep their own pass,
 since their stream starts with the type draw.
 
+Estimators that share a seed and a type argument see the same networks, so
+the success, throughput and interference statistics read one kept pass
+(``_received``): the rows of the last pass are held, keyed on (network,
+bandwidth, ``SimConfig``) and the typical type (a fixed type, or the mix).
+Only one (network, bandwidth, ``SimConfig``) group is held, and a call
+computes only the types it does not hold. So after a simulate table, the
+throughput and interference estimators at any of its types draw nothing.
+
 Every route that draws marks does so through one marks draw (``_marks``),
 and shares one interference sum and one SIR rule, which the loop statistics
 apply once over all networks and the empirical route once per block of
@@ -40,8 +48,9 @@ Every loop runs through one helper (``_in_blocks``), which splits the
 indices 0..n-1 into B contiguous blocks in index order (block j holds
 floor(j n / B) up to floor((j + 1) n / B)). Each block carries at least
 ``_BLOCK_WORK`` of work (realizations x mean interferer count x typical
-types served), B is at most ``_MAX_BLOCKS`` and a multiple of the number
-of processes W, and W is at most the CPUs of the process's affinity mask.
+types served, or x redraws per network on the fully-empirical route), B is
+at most ``_MAX_BLOCKS`` and a multiple of the number of processes W, and W
+is at most the CPUs of the process's affinity mask.
 The caller and W - 1 workers made with ``os.fork`` take blocks one at a
 time until none is left, and the blocks' arrays are joined in index order.
 Since each network's draws depend on (seed, index) alone, no output
@@ -354,16 +363,46 @@ def _realizations(
         yield rng, NetworkRealization(distance, overlap, fading, k_typ, float(after[0]), start)
 
 
+#: The rows of the last pass: its (net, ba, sim) group, and by entry of
+#: ``types`` that entry's read-only (typical, signal, interference) rows.
+_last_pass: tuple = (None, {})
+
+
 def _received(net: NetworkParams, ba: BandwidthConfig, sim: SimConfig, types: list):
     """The typical types, signals and interferences of the loop's networks,
     in units of the per-chunk power: three (entry of ``types``, network)
-    arrays from one pass, each row what ``_realizations`` gives for its
-    entry. ``types`` lists fixed types, whose marks come from one ``_marks``
-    call per network, or is [None], which draws each network's typical type
-    from the mix."""
-    mix = types == [None]
-    if not mix:
+    arrays, each row what ``_realizations`` gives for its entry. ``types``
+    lists fixed types, or is [None], which draws each network's typical type
+    from the mix.
+
+    Each row depends only on (net, ba, sim, entry), so the rows of the
+    latest (net, ba, sim) group are kept in ``_last_pass``, and a call
+    computes only the entries that it does not hold, in one pass. A new
+    group drops the old one, and a pass that raises stores nothing. The
+    arrays returned are fresh copies."""
+    global _last_pass
+    if types != [None]:
         types = [_check_type(ba.n_chunks, k, "k") for k in types]
+    group = (net, ba, sim)
+    held_group, held = _last_pass
+    if held_group != group:
+        # drop the old group before the new pass, so that one group is held
+        _last_pass = None, {}
+        held = {}
+    missing = [entry for entry in dict.fromkeys(types) if entry not in held]
+    if missing:
+        # a new snapshot, never a held one changed, so that a call in another
+        # thread reads a whole group
+        held = {**held, **_pass(net, ba, sim, missing)}
+        _last_pass = group, held
+    return tuple(np.stack(rows) for rows in zip(*(held[entry] for entry in types)))
+
+
+def _pass(net: NetworkParams, ba: BandwidthConfig, sim: SimConfig, types: list) -> dict:
+    """One pass over the loop's networks for ``types`` (as ``_received``
+    reads the list), by entry: its read-only (typical, signal, interference)
+    rows. Fixed types take their marks from one ``_marks`` call per network."""
+    mix = types == [None]
     attenuation = net.pathloss.attenuation
 
     def block(lo, hi):
@@ -387,7 +426,10 @@ def _received(net: NetworkParams, ba: BandwidthConfig, sim: SimConfig, types: li
         net, sim, len(types), block, lambda: _fill_laws(ba, types, closed_form=False)
     )
     typical = drawn[None, :] if mix else np.array(types)[:, None]
-    return typical, typical * fading * net.signal_attenuation(), interference
+    arrays = typical, typical * fading * net.signal_attenuation(), interference
+    for array in arrays:
+        array.setflags(write=False)
+    return dict(zip(types, zip(*arrays)))
 
 
 def _fill_laws(ba: BandwidthConfig, types: list, closed_form: bool) -> None:
@@ -415,25 +457,27 @@ def _workers(blocks: int) -> int:
     return min(blocks, len(os.sched_getaffinity(0)))
 
 
-def _in_blocks(net: NetworkParams, sim: SimConfig, n_types: int, block, fill_laws):
+def _in_blocks(net: NetworkParams, sim: SimConfig, repeats: int, block, fill_laws):
     """``block(lo, hi)`` over contiguous blocks of ``range(sim.n_realizations)``,
     joined in index order: ``block`` returns a tuple of arrays whose last
     axis runs over the networks lo..hi-1, and each array of the result is
     its blocks' concatenation along that axis.
 
-    The work is realizations x mean interferer count x ``n_types``, and
-    each block carries at least ``_BLOCK_WORK`` of it. When the loop is
-    split, ``fill_laws()`` builds the cached laws first, workers made with
-    ``os.fork`` join the caller, and each process takes the next block from
-    a pipe until none is left, so a process on a slower CPU takes fewer. A
-    worker sends its blocks, or its exception, through a pipe and exits
-    without returning; the caller re-raises a worker's exception, and kills
-    and reaps every worker on its way out. Each network's draws depend only
-    on (seed, index), so the result is the serial loop's, bit for bit.
+    The work is realizations x mean interferer count x ``repeats`` (the
+    typical types that a pass serves, or the fully-empirical route's redraws
+    per network), and each block carries at least ``_BLOCK_WORK`` of it.
+    When the loop is split, ``fill_laws()`` builds the cached laws first,
+    workers made with ``os.fork`` join the caller, and each process takes
+    the next block from a pipe until none is left, so a process on a slower
+    CPU takes fewer. A worker sends its blocks, or its exception, through a
+    pipe and exits without returning; the caller re-raises a worker's
+    exception, and kills and reaps every worker on its way out. Each
+    network's draws depend only on (seed, index), so the result is the
+    serial loop's, bit for bit.
     """
     n = sim.n_realizations
     radius = _window(net, sim)
-    work = n * n_types * net.intensity * math.pi * radius * radius
+    work = n * repeats * net.intensity * math.pi * radius * radius
     blocks = min(n, int(work // _BLOCK_WORK), _MAX_BLOCKS)
     workers = _workers(blocks)
     if workers == 1:
@@ -601,7 +645,8 @@ def estimate_meta_distribution(
             )
         return (np.fromiter(conditional, float, hi - lo),)
 
-    (values,) = _in_blocks(net, sim, 1, block, lambda: _fill_laws(ba, [k], closed_form))
+    repeats = 1 if closed_form else n_fading_draws
+    (values,) = _in_blocks(net, sim, repeats, block, lambda: _fill_laws(ba, [k], closed_form))
     counts = np.count_nonzero(values[:, None] > x_grid, axis=0)
     return [_binomial_estimate(int(c), sim.n_realizations) for c in counts]
 

@@ -1,0 +1,10 @@
+import pytest
+
+from bwalloc import simulate
+
+
+@pytest.fixture(autouse=True)
+def _no_kept_pass():
+    """Start every test without the Monte Carlo pass that an earlier test
+    left behind."""
+    simulate._last_pass = (None, {})

@@ -6,6 +6,7 @@ agreement thresholds are 3 standard errors unless noted.
 
 import math
 import os
+import sys
 import threading
 import time
 from collections import Counter, defaultdict
@@ -89,6 +90,11 @@ def _manual_realization(distances, overlaps, fading, k, h0):
     )
 
 
+def _forget_pass():
+    """Drop the kept pass, so that the next estimator runs its loop."""
+    simulate._last_pass = (None, {})
+
+
 def _sir_of(real, net):
     signal = real.typical_type * real.typical_fading * net.signal_attenuation()
     attenuation = net.pathloss.attenuation(real.distance)
@@ -102,6 +108,7 @@ def _sir_of(real, net):
 def test_determinism_same_seed():
     sim = SimConfig(n_realizations=200, seed=11)
     a = estimate_success_prob(BOUNDED, UNIFORM3, sim, 1, 1.0)
+    _forget_pass()
     b = estimate_success_prob(BOUNDED, UNIFORM3, sim, 1, 1.0)
     assert a == b
 
@@ -727,6 +734,7 @@ def test_simulate_table_type_columns_are_the_separate_curves(mode, pinned_mix):
     thetas = [db_to_linear(db) for db in columns["theta_db"]]
     for k in [*range(1, ba.n_chunks + 1), None]:
         name = "overall" if k is None else f"type_{k}"
+        _forget_pass()
         curve = success_prob_curve(BOUNDED, ba, _PIN_SIM, k, thetas)
         assert columns[f"sim_ps_{name}"] == [estimate.value for estimate in curve]
         assert columns[f"se_{name}"] == [estimate.std_error for estimate in curve]
@@ -811,6 +819,7 @@ def _every_route(ba, k):
     ]
     outputs = []
     for route in routes:
+        _forget_pass()
         outputs.append(route())
         assert _no_children()
     return outputs
@@ -841,6 +850,7 @@ def test_forked_simulate_table_is_the_serial_table(monkeypatch, mode):
     )
     serial = run_experiment(spec)
     forks = _fan_out(monkeypatch)
+    _forget_pass()
     assert run_experiment(spec) == serial
     assert forks and _no_children()
 
@@ -924,6 +934,7 @@ def _refuse_fork(monkeypatch):
 
 def test_one_usable_cpu_stays_serial(monkeypatch):
     expected = success_prob_curve(BOUNDED, UNIFORM3, _PIN_SIM, None, [1.0])
+    _forget_pass()
     _refuse_fork(monkeypatch)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert success_prob_curve(BOUNDED, UNIFORM3, _PIN_SIM, None, [1.0]) == expected
@@ -931,6 +942,7 @@ def test_one_usable_cpu_stays_serial(monkeypatch):
 
 def test_a_second_python_thread_keeps_the_loop_serial(monkeypatch):
     expected = success_prob_curve(BOUNDED, UNIFORM3, _PIN_SIM, None, [1.0])
+    _forget_pass()
     _refuse_fork(monkeypatch)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     release = threading.Event()
@@ -946,6 +958,7 @@ def test_a_second_python_thread_keeps_the_loop_serial(monkeypatch):
 
 def test_no_fork_stays_serial(monkeypatch):
     expected = estimate_throughput(BOUNDED, UNIFORM3, _PIN_SIM, 2)
+    _forget_pass()
     monkeypatch.setattr(simulate, "_BLOCK_WORK", 1)
     monkeypatch.delattr(os, "fork")
     assert estimate_throughput(BOUNDED, UNIFORM3, _PIN_SIM, 2) == expected
@@ -961,3 +974,172 @@ def test_small_loops_stay_serial(monkeypatch):
     estimate_meta_distribution(BOUNDED, UNIFORM3, sim, 2, 1.0, [0.5])
     with pytest.raises(_Drawn, match="fork"):
         estimate_throughput(BOUNDED, UNIFORM3, replace(sim, n_realizations=8000), None)
+
+
+# ---------------------------------------------------------------------------
+# the kept pass: estimators that read the networks of the last pass draw
+# nothing, and give what a cold call gives
+
+
+def _count_passes(monkeypatch):
+    """Record the types of each pass that _received runs."""
+    passes = []
+    run = simulate._pass
+
+    def counted(net, ba, sim, types):
+        passes.append(types)
+        return run(net, ba, sim, types)
+
+    monkeypatch.setattr(simulate, "_pass", counted)
+    return passes
+
+
+def _statistics(ba, k, sim=_PIN_SIM):
+    """The success curve, throughput and mean interference of type k."""
+    return (
+        success_prob_curve(BOUNDED, ba, sim, k, [0.1, 1.0, 10.0]),
+        estimate_throughput(BOUNDED, ba, sim, k),
+        estimate_mean_interference(BOUNDED, ba, sim, k),
+    )
+
+
+@pytest.mark.parametrize("mode", list(AllocationMode))
+def test_a_simulate_table_serves_every_later_statistic(monkeypatch, mode):
+    ba = BandwidthConfig(10, _PIN_MIX, mode)
+    types = [*range(1, 11), None]
+    cold = {}
+    for k in types:
+        _forget_pass()
+        cold[k] = _statistics(ba, k)
+    _forget_pass()
+    spec = ExperimentSpec(
+        Metric.SIMULATE,
+        SweepSpec(SweepVariable.THETA_DB, -10.0, 10.0, 5),
+        network=BOUNDED,
+        bandwidth=ba,
+        sim=_PIN_SIM,
+    )
+    run_experiment(spec)
+    monkeypatch.setattr(simulate, "_networks", _refuse("_networks"))
+    for k in types:
+        assert _statistics(ba, k) == cold[k]
+
+
+def test_a_partly_held_request_runs_the_missing_types_only(monkeypatch):
+    ba = BandwidthConfig(10, _PIN_MIX, AllocationMode.CONTIGUOUS)
+    asked = [3, 2, 1, 4, 2]
+    cold = _received(BOUNDED, ba, _PIN_SIM, asked)
+    _forget_pass()
+    _received(BOUNDED, ba, _PIN_SIM, [1, 3])
+    passes = _count_passes(monkeypatch)
+    warm = _received(BOUNDED, ba, _PIN_SIM, asked)
+    assert passes == [[2, 4]]
+    assert all(map(np.array_equal, warm, cold))
+    assert [a.shape for a in warm] == [(5, 1), (5, 30), (5, 30)]
+    _received(BOUNDED, ba, _PIN_SIM, [None])
+    assert passes == [[2, 4], [None]]
+    _received(BOUNDED, ba, _PIN_SIM, [4, 1])
+    _received(BOUNDED, ba, _PIN_SIM, [None])
+    assert len(passes) == 2
+
+
+_RANDOM10 = BandwidthConfig(10, _PIN_MIX)
+
+
+@pytest.mark.parametrize(
+    "net, ba, sim",
+    [
+        (BOUNDED, _RANDOM10, replace(_PIN_SIM, seed=8)),
+        (BOUNDED, _RANDOM10, replace(_PIN_SIM, n_realizations=31)),
+        (BOUNDED, _RANDOM10, replace(_PIN_SIM, window_radius=40.0)),
+        (BOUNDED, BandwidthConfig.uniform(10), _PIN_SIM),
+        (BOUNDED, replace(_RANDOM10, mode=AllocationMode.CONTIGUOUS), _PIN_SIM),
+        (replace(BOUNDED, intensity=0.3), _RANDOM10, _PIN_SIM),
+        (replace(BOUNDED, pathloss=PathLossModel.power_law(4.0)), _RANDOM10, _PIN_SIM),
+    ],
+    ids=["seed", "realizations", "window", "mix", "mode", "intensity", "pathloss"],
+)
+def test_another_group_recomputes(monkeypatch, net, ba, sim):
+    _forget_pass()
+    cold = estimate_throughput(net, ba, sim, 3)
+    _forget_pass()
+    estimate_throughput(BOUNDED, _RANDOM10, _PIN_SIM, 3)
+    passes = _count_passes(monkeypatch)
+    assert estimate_throughput(net, ba, sim, 3) == cold
+    assert passes == [[3]]
+
+
+def test_only_one_group_is_held(monkeypatch):
+    other = replace(_PIN_SIM, seed=8)
+    _received(BOUNDED, _RANDOM10, _PIN_SIM, [1, 2])
+    _received(BOUNDED, _RANDOM10, other, [1])
+    assert simulate._last_pass[0] == (BOUNDED, _RANDOM10, other)
+    assert list(simulate._last_pass[1]) == [1]
+    passes = _count_passes(monkeypatch)
+    _received(BOUNDED, _RANDOM10, _PIN_SIM, [1, 2])
+    assert passes == [[1, 2]]
+
+
+def test_a_returned_array_is_a_copy():
+    cold = [a.copy() for a in _received(BOUNDED, UNIFORM3, _PIN_SIM, [1, 3])]
+    for array in _received(BOUNDED, UNIFORM3, _PIN_SIM, [1, 3]):
+        array[...] = 0
+    assert all(map(np.array_equal, _received(BOUNDED, UNIFORM3, _PIN_SIM, [1, 3]), cold))
+    for rows in simulate._last_pass[1].values():
+        assert not any(row.flags.writeable for row in rows)
+
+
+def test_a_failed_pass_stores_nothing(monkeypatch):
+    _received(BOUNDED, UNIFORM3, _PIN_SIM, [1])
+    held = simulate._last_pass
+    _fan_out(monkeypatch)
+    _patch_rng(monkeypatch, worker=_raise(_WorkerFailed("in a worker")))
+    with pytest.raises(_WorkerFailed):
+        estimate_throughput(BOUNDED, UNIFORM3, _PIN_SIM, 2)
+    assert simulate._last_pass is held
+    with pytest.raises(_WorkerFailed):
+        estimate_throughput(BOUNDED, CONTIGUOUS10, _PIN_SIM, 2)
+    assert simulate._last_pass == (None, {})
+    assert _no_children()
+
+
+def test_an_interrupted_pass_stores_nothing(monkeypatch):
+    _patch_rng(monkeypatch, caller=_raise(KeyboardInterrupt()))
+    with pytest.raises(KeyboardInterrupt):
+        success_prob_curve(BOUNDED, UNIFORM3, _PIN_SIM, None, [1.0])
+    assert simulate._last_pass == (None, {})
+
+
+def test_threads_sharing_the_kept_pass_get_cold_results():
+    # each call reads the rows it computed or found, never a half-made group
+    sims = [SimConfig(n_realizations=5, seed=seed) for seed in (1, 2)]
+    requests = [(sim, types) for sim in sims for types in ([1], [2], [3, 1], [None])]
+    cold = {}
+    for sim, types in requests:
+        _forget_pass()
+        cold[sim, tuple(types)] = _received(BOUNDED, UNIFORM3, sim, types)
+    mismatches = []
+
+    def work(offset):
+        for j in range(40):
+            sim, types = requests[(offset + j) % len(requests)]
+            try:
+                got = _received(BOUNDED, UNIFORM3, sim, types)
+            except Exception as exc:  # reported by the assertion below
+                mismatches.append(exc)
+                continue
+            if not all(map(np.array_equal, got, cold[sim, tuple(types)])):
+                mismatches.append((sim, types))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(offset,)) for offset in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
