@@ -13,7 +13,16 @@ from __future__ import annotations
 import argparse
 from dataclasses import replace
 
-from bwalloc.experiments import db_to_linear, default_bandwidth, default_network
+from bwalloc.experiments import (
+    ExperimentSpec,
+    Metric,
+    SweepSpec,
+    SweepVariable,
+    db_to_linear,
+    default_bandwidth,
+    default_network,
+    run_experiment,
+)
 from bwalloc.meanmodel import mean_interference_k, mean_interference_overall
 from bwalloc.metadist import meta_ccdf_gilpelaez
 from bwalloc.metrics import (
@@ -24,11 +33,11 @@ from bwalloc.metrics import (
 )
 from bwalloc.params import AllocationMode
 from bwalloc.simulate import (
+    EstimateWithCI,
     SimConfig,
     estimate_mean_interference,
     estimate_meta_distribution,
     estimate_throughput,
-    success_prob_curve,
 )
 
 
@@ -45,10 +54,24 @@ def _table(net, ba, sim) -> None:
     """Print every row for one bandwidth configuration."""
     # k = None draws the typical type from the mix, against the mix averages
     types = (1, 2, 3, None)
-    theta_dbs = (-10.0, 0.0, 10.0)
+    # one simulate table: the fixed types share one pass, the mix has its own
+    spec = ExperimentSpec(
+        Metric.SIMULATE,
+        SweepSpec(SweepVariable.THETA_DB, -10.0, 10.0, 3),
+        network=net,
+        bandwidth=ba,
+        sim=sim,
+    )
+    header, rows = run_experiment(spec)
+    columns = dict(zip(header, zip(*rows)))
+    theta_dbs = columns["theta_db"]
     thetas = [db_to_linear(db) for db in theta_dbs]
     for k in types:
-        curve = success_prob_curve(net, ba, sim, k, thetas)
+        name = "overall" if k is None else f"type_{k}"
+        curve = [
+            EstimateWithCI(value, se, sim.n_realizations)
+            for value, se in zip(columns[f"sim_ps_{name}"], columns[f"se_{name}"])
+        ]
         for est, theta, db in zip(curve, thetas, theta_dbs):
             if k is None:
                 _row(f"P(SIR > {db:+.0f} dB), mix", success_prob_overall(net, ba, theta), est)

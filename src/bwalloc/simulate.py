@@ -33,11 +33,12 @@ since their stream starts with the type draw.
 
 Estimators that share a seed and a type argument see the same networks, so
 the success, throughput and interference statistics read one kept pass
-(``_received``): the rows of the last pass are held, keyed on (network,
-bandwidth, ``SimConfig``) and the typical type (a fixed type, or the mix).
-Only one (network, bandwidth, ``SimConfig``) group is held, and a call
-computes only the types it does not hold. So after a simulate table, the
-throughput and interference estimators at any of its types draw nothing.
+(``_received``): the rows of the last pass are held in ``_kept``, a
+one-entry ``lru_cache`` keyed on (network, bandwidth, ``SimConfig``) that
+holds a dict by typical type (a fixed type, or the mix). Only one group is
+held, and a call computes only the types it does not hold. So after a
+simulate table, the throughput and interference estimators at any of its
+types draw nothing.
 
 Every route that draws marks does so through one marks draw (``_marks``),
 and shares one interference sum and one SIR rule, which the loop statistics
@@ -53,10 +54,11 @@ at most ``_MAX_BLOCKS`` and a multiple of the number of processes W, and W
 is at most the CPUs of the process's affinity mask.
 The caller and W - 1 workers made with ``os.fork`` take blocks one at a
 time until none is left, and the blocks' arrays are joined in index order.
-Since each network's draws depend on (seed, index) alone, no output
-depends on B, W or which process ran which block. The loop stays serial
-below two blocks of work, with one usable CPU, without ``os.fork`` or
-``os.sched_getaffinity`` and while another Python thread runs.
+Nothing is built before the fork: each process builds the cached laws that
+its blocks read. Since each network's draws depend on (seed, index) alone,
+no output depends on B, W or which process ran which block. The loop stays
+serial below two blocks of work, with one usable CPU, without ``os.fork``
+or ``os.sched_getaffinity`` and while another Python thread runs.
 """
 
 from __future__ import annotations
@@ -68,14 +70,13 @@ import threading
 from signal import SIGKILL
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
 from .allocation import (
     _check_type,
-    _overlap_law,
     _sample_overlaps,
-    _type_law,
     _types_of,
     _window_starts,
     sample_type,
@@ -363,9 +364,12 @@ def _realizations(
         yield rng, NetworkRealization(distance, overlap, fading, k_typ, float(after[0]), start)
 
 
-#: The rows of the last pass: its (net, ba, sim) group, and by entry of
-#: ``types`` that entry's read-only (typical, signal, interference) rows.
-_last_pass: tuple = (None, {})
+@lru_cache(maxsize=1)
+def _kept(net: NetworkParams, ba: BandwidthConfig, sim: SimConfig) -> dict:
+    """The rows kept for the (net, ba, sim) group, by entry of ``types`` (as
+    ``_received`` reads the list): that entry's read-only (typical, signal,
+    interference) rows. Only the latest group is held."""
+    return {}
 
 
 def _received(net: NetworkParams, ba: BandwidthConfig, sim: SimConfig, types: list):
@@ -376,25 +380,16 @@ def _received(net: NetworkParams, ba: BandwidthConfig, sim: SimConfig, types: li
     from the mix.
 
     Each row depends only on (net, ba, sim, entry), so the rows of the
-    latest (net, ba, sim) group are kept in ``_last_pass``, and a call
-    computes only the entries that it does not hold, in one pass. A new
-    group drops the old one, and a pass that raises stores nothing. The
-    arrays returned are fresh copies."""
-    global _last_pass
+    latest (net, ba, sim) group are kept in ``_kept``, and a call computes
+    only the entries that it does not hold, in one pass. A new group drops
+    the old one, and a pass that raises stores nothing. The arrays returned
+    are fresh copies."""
     if types != [None]:
         types = [_check_type(ba.n_chunks, k, "k") for k in types]
-    group = (net, ba, sim)
-    held_group, held = _last_pass
-    if held_group != group:
-        # drop the old group before the new pass, so that one group is held
-        _last_pass = None, {}
-        held = {}
+    held = _kept(net, ba, sim)
     missing = [entry for entry in dict.fromkeys(types) if entry not in held]
     if missing:
-        # a new snapshot, never a held one changed, so that a call in another
-        # thread reads a whole group
-        held = {**held, **_pass(net, ba, sim, missing)}
-        _last_pass = group, held
+        held.update(_pass(net, ba, sim, missing))
     return tuple(np.stack(rows) for rows in zip(*(held[entry] for entry in types)))
 
 
@@ -422,27 +417,12 @@ def _pass(net: NetworkParams, ba: BandwidthConfig, sim: SimConfig, types: list) 
                 fading[j, idx] = after[0]
         return drawn, fading, interference
 
-    drawn, fading, interference = _in_blocks(
-        net, sim, len(types), block, lambda: _fill_laws(ba, types, closed_form=False)
-    )
+    drawn, fading, interference = _in_blocks(net, sim, len(types), block)
     typical = drawn[None, :] if mix else np.array(types)[:, None]
     arrays = typical, typical * fading * net.signal_attenuation(), interference
     for array in arrays:
         array.setflags(write=False)
     return dict(zip(types, zip(*arrays)))
-
-
-def _fill_laws(ba: BandwidthConfig, types: list, closed_form: bool) -> None:
-    """Build the cached laws that a pass over ``types`` (as ``_received``
-    reads the list) reads: the mix's, and each typical type's overlap table
-    on the closed-form conditional route or its random-mode pair law
-    otherwise. Forked workers inherit them instead of each building its own."""
-    _type_law(ba)
-    for k in (np.flatnonzero(ba.type_probs) + 1).tolist() if types == [None] else types:
-        if closed_form:
-            window_overlap_table(ba, k)
-        elif ba.mode is AllocationMode.RANDOM:
-            _overlap_law(ba.n_chunks, k)
 
 
 def _workers(blocks: int) -> int:
@@ -457,7 +437,7 @@ def _workers(blocks: int) -> int:
     return min(blocks, len(os.sched_getaffinity(0)))
 
 
-def _in_blocks(net: NetworkParams, sim: SimConfig, repeats: int, block, fill_laws):
+def _in_blocks(net: NetworkParams, sim: SimConfig, repeats: int, block):
     """``block(lo, hi)`` over contiguous blocks of ``range(sim.n_realizations)``,
     joined in index order: ``block`` returns a tuple of arrays whose last
     axis runs over the networks lo..hi-1, and each array of the result is
@@ -466,14 +446,14 @@ def _in_blocks(net: NetworkParams, sim: SimConfig, repeats: int, block, fill_law
     The work is realizations x mean interferer count x ``repeats`` (the
     typical types that a pass serves, or the fully-empirical route's redraws
     per network), and each block carries at least ``_BLOCK_WORK`` of it.
-    When the loop is split, ``fill_laws()`` builds the cached laws first,
-    workers made with ``os.fork`` join the caller, and each process takes
-    the next block from a pipe until none is left, so a process on a slower
-    CPU takes fewer. A worker sends its blocks, or its exception, through a
-    pipe and exits without returning; the caller re-raises a worker's
-    exception, and kills and reaps every worker on its way out. Each
-    network's draws depend only on (seed, index), so the result is the
-    serial loop's, bit for bit.
+    When the loop is split, workers made with ``os.fork`` join the caller,
+    and each process takes the next block from a pipe until none is left,
+    so a process on a slower CPU takes fewer; each builds the cached laws
+    that its blocks read, as the serial loop does. A worker sends its
+    blocks, or its exception, through a pipe and exits without returning;
+    the caller re-raises a worker's exception, and kills and reaps every
+    worker on its way out. Each network's draws depend only on (seed,
+    index), so the result is the serial loop's, bit for bit.
     """
     n = sim.n_realizations
     radius = _window(net, sim)
@@ -482,7 +462,6 @@ def _in_blocks(net: NetworkParams, sim: SimConfig, repeats: int, block, fill_law
     workers = _workers(blocks)
     if workers == 1:
         return block(0, n)
-    fill_laws()
     # whole rounds, so that processes of equal speed finish together
     blocks -= blocks % workers
     bounds = [n * j // blocks for j in range(blocks + 1)]
@@ -646,7 +625,7 @@ def estimate_meta_distribution(
         return (np.fromiter(conditional, float, hi - lo),)
 
     repeats = 1 if closed_form else n_fading_draws
-    (values,) = _in_blocks(net, sim, repeats, block, lambda: _fill_laws(ba, [k], closed_form))
+    (values,) = _in_blocks(net, sim, repeats, block)
     counts = np.count_nonzero(values[:, None] > x_grid, axis=0)
     return [_binomial_estimate(int(c), sim.n_realizations) for c in counts]
 

@@ -7,4 +7,4 @@ from bwalloc import simulate
 def _no_kept_pass():
     """Start every test without the Monte Carlo pass that an earlier test
     left behind."""
-    simulate._last_pass = (None, {})
+    simulate._kept.cache_clear()

@@ -22,6 +22,7 @@ from bwalloc import simulate
 from bwalloc.allocation import (
     _overlap_law,
     _sample_overlaps,
+    _type_law,
     _window_overlap_table,
     _window_starts,
     overlap_pmf,
@@ -92,7 +93,13 @@ def _manual_realization(distances, overlaps, fading, k, h0):
 
 def _forget_pass():
     """Drop the kept pass, so that the next estimator runs its loop."""
-    simulate._last_pass = (None, {})
+    simulate._kept.cache_clear()
+
+
+def _forget_laws():
+    """Empty the cached laws that the realization loop reads."""
+    for law in (_type_law, _overlap_law, _window_overlap_table):
+        law.cache_clear()
 
 
 def _sir_of(real, net):
@@ -806,8 +813,9 @@ def _no_children():
     return True
 
 
-def _every_route(ba, k):
-    """Each route's output, as arrays or estimates, in a list."""
+def _every_route(ba, k, cold_laws=False):
+    """Each route's output, as arrays or estimates, in a list; with
+    ``cold_laws``, each route starts with empty law caches."""
     empirical = ConditionalMode.FULLY_EMPIRICAL
     routes = [
         lambda: _received(BOUNDED, ba, _PIN_SIM, list(range(1, ba.n_chunks + 1))),
@@ -820,6 +828,8 @@ def _every_route(ba, k):
     outputs = []
     for route in routes:
         _forget_pass()
+        if cold_laws:
+            _forget_laws()
         outputs.append(route())
         assert _no_children()
     return outputs
@@ -829,14 +839,17 @@ def _every_route(ba, k):
 @pytest.mark.parametrize("k", [3, None])
 @pytest.mark.parametrize("cpus", [2, 3])
 def test_forked_routes_are_the_serial_loop(monkeypatch, mode, k, cpus):
+    # also with cold law caches, where each process builds the laws that
+    # its blocks read
     ba = BandwidthConfig(10, _PIN_MIX, mode)
     serial = _every_route(ba, k)
     forks = _fan_out(monkeypatch, cpus)
-    forked = _every_route(ba, k)
-    assert len(forks) == (cpus - 1) * len(serial)
-    received, *estimates = forked
-    assert all(map(np.array_equal, received, serial[0]))
-    assert estimates == serial[1:]
+    for cold_laws in (False, True):
+        forks.clear()
+        received, *estimates = _every_route(ba, k, cold_laws)
+        assert len(forks) == (cpus - 1) * len(serial)
+        assert all(map(np.array_equal, received, serial[0]))
+        assert estimates == serial[1:]
 
 
 @pytest.mark.parametrize("mode", list(AllocationMode))
@@ -853,23 +866,6 @@ def test_forked_simulate_table_is_the_serial_table(monkeypatch, mode):
     _forget_pass()
     assert run_experiment(spec) == serial
     assert forks and _no_children()
-
-
-def test_the_caller_builds_the_laws_before_it_forks(monkeypatch):
-    # every process then reads the laws of the pass's typical types (the
-    # six in _PIN_MIX) from the cache that the workers inherit
-    _fan_out(monkeypatch)
-    monkeypatch.setattr(simulate, "_networks", _refuse("_networks"))
-    ba = BandwidthConfig(10, _PIN_MIX, AllocationMode.RANDOM)
-    _overlap_law.cache_clear()
-    _window_overlap_table.cache_clear()
-    with pytest.raises(_Drawn):
-        success_prob_curve(BOUNDED, ba, _PIN_SIM, None, [1.0])
-    assert _overlap_law.cache_info().currsize == 6
-    with pytest.raises(_Drawn):
-        estimate_meta_distribution(BOUNDED, ba, _PIN_SIM, None, 1.0, _PIN_X)
-    assert _window_overlap_table.cache_info().currsize == 6
-    assert _no_children()
 
 
 class _WorkerFailed(Exception):
@@ -1069,12 +1065,21 @@ def test_another_group_recomputes(monkeypatch, net, ba, sim):
     assert passes == [[3]]
 
 
+def _held(net, ba, sim):
+    """The rows that the kept pass holds for the (net, ba, sim) group; it
+    must be the group held."""
+    hits = simulate._kept.cache_info().hits
+    rows = simulate._kept(net, ba, sim)
+    assert simulate._kept.cache_info().hits == hits + 1
+    return rows
+
+
 def test_only_one_group_is_held(monkeypatch):
     other = replace(_PIN_SIM, seed=8)
     _received(BOUNDED, _RANDOM10, _PIN_SIM, [1, 2])
     _received(BOUNDED, _RANDOM10, other, [1])
-    assert simulate._last_pass[0] == (BOUNDED, _RANDOM10, other)
-    assert list(simulate._last_pass[1]) == [1]
+    assert simulate._kept.cache_info().currsize == 1
+    assert list(_held(BOUNDED, _RANDOM10, other)) == [1]
     passes = _count_passes(monkeypatch)
     _received(BOUNDED, _RANDOM10, _PIN_SIM, [1, 2])
     assert passes == [[1, 2]]
@@ -1085,21 +1090,24 @@ def test_a_returned_array_is_a_copy():
     for array in _received(BOUNDED, UNIFORM3, _PIN_SIM, [1, 3]):
         array[...] = 0
     assert all(map(np.array_equal, _received(BOUNDED, UNIFORM3, _PIN_SIM, [1, 3]), cold))
-    for rows in simulate._last_pass[1].values():
+    for rows in _held(BOUNDED, UNIFORM3, _PIN_SIM).values():
         assert not any(row.flags.writeable for row in rows)
 
 
 def test_a_failed_pass_stores_nothing(monkeypatch):
     _received(BOUNDED, UNIFORM3, _PIN_SIM, [1])
-    held = simulate._last_pass
+    held = _held(BOUNDED, UNIFORM3, _PIN_SIM)
+    rows = held[1]
     _fan_out(monkeypatch)
     _patch_rng(monkeypatch, worker=_raise(_WorkerFailed("in a worker")))
     with pytest.raises(_WorkerFailed):
         estimate_throughput(BOUNDED, UNIFORM3, _PIN_SIM, 2)
-    assert simulate._last_pass is held
+    assert _held(BOUNDED, UNIFORM3, _PIN_SIM) is held
+    assert list(held) == [1] and held[1] is rows
     with pytest.raises(_WorkerFailed):
         estimate_throughput(BOUNDED, CONTIGUOUS10, _PIN_SIM, 2)
-    assert simulate._last_pass == (None, {})
+    assert simulate._kept.cache_info().currsize == 1
+    assert _held(BOUNDED, CONTIGUOUS10, _PIN_SIM) == {}
     assert _no_children()
 
 
@@ -1107,7 +1115,8 @@ def test_an_interrupted_pass_stores_nothing(monkeypatch):
     _patch_rng(monkeypatch, caller=_raise(KeyboardInterrupt()))
     with pytest.raises(KeyboardInterrupt):
         success_prob_curve(BOUNDED, UNIFORM3, _PIN_SIM, None, [1.0])
-    assert simulate._last_pass == (None, {})
+    assert simulate._kept.cache_info().currsize == 1
+    assert _held(BOUNDED, UNIFORM3, _PIN_SIM) == {}
 
 
 def test_threads_sharing_the_kept_pass_get_cold_results():

@@ -1,7 +1,9 @@
 """Checks on the library source, read with ``ast`` only: every import is
 used, every private module-level name or method is referenced somewhere in
 the library, the simulator's sampling path never reads the closed forms
-that it cross-checks, and only the realization loop's fan-out forks."""
+that it cross-checks, only the realization loop's fan-out forks, and no
+function rebinds a module-level name with ``global`` (cached state lives in
+``functools`` caches, which ``cache_clear()`` resets)."""
 
 import ast
 from pathlib import Path
@@ -139,6 +141,25 @@ def fork_callers(modules: dict[str, ast.Module]) -> list[str]:
     ]
 
 
+def global_statements(modules: dict[str, ast.Module]) -> list[str]:
+    """Each ``global`` statement, by the function that holds it (the
+    innermost one, by name; ``module`` outside any function)."""
+    found = []
+
+    def visit(node, module, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Global):
+                found.append(f"{module} {function}")
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, child.name)
+            else:
+                visit(child, module, function)
+
+    for name, tree in modules.items():
+        visit(tree, name, "module")
+    return found
+
+
 def unreferenced_private_names(modules: dict[str, ast.Module]) -> list[str]:
     referenced = set().union(*map(_loaded, modules.values()))
     return [
@@ -205,4 +226,22 @@ def test_fork_check_flags_a_planted_call(tmp_path):
         "simulate.py _in_blocks",
         "simulate.py spawn",
         "simulate.py Pool",
+    ]
+
+
+def test_no_function_uses_a_global_statement():
+    assert global_statements(_modules()) == []
+
+
+def test_global_check_flags_a_planted_statement(tmp_path):
+    (tmp_path / "simulate.py").write_text(
+        "_held = None\n\n\ndef _received():\n    global _held\n    _held = 1\n\n\n"
+        "class Pool:\n    def start(self):\n        def inner():\n            global _held\n\n"
+        "        return inner\n"
+    )
+    (tmp_path / "allocation.py").write_text("global _law\n_law = 1\n")
+    assert global_statements(_modules(tmp_path)) == [
+        "allocation.py module",
+        "simulate.py _received",
+        "simulate.py inner",
     ]
