@@ -272,6 +272,12 @@ def _window_starts(n_chunks: int, types, u) -> np.ndarray:
     return (u * (n_chunks - types + 1)).astype(np.int64)
 
 
+def _typical_start(config: BandwidthConfig, k: int, u_start) -> int:
+    """The window start that ``u_start`` places a type-k typical user at;
+    0 in random mode, where ``u_start`` is None."""
+    return 0 if u_start is None else int(_window_starts(config.n_chunks, k, u_start))
+
+
 def _sample_overlaps(
     config: BandwidthConfig, k: int, types: np.ndarray, u: np.ndarray, typical
 ) -> np.ndarray:

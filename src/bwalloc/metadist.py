@@ -2,10 +2,12 @@
 
 Given the interferer positions, the success probability of a type-k link
 (averaged over fading and everyone's chunk draws) is a product over
-interferers. Its moments of any complex order come out of the planar
-probability generating functional as a single radial integral; inverting the
-imaginary-order moments recovers the full distribution, and matching two
-real moments to a beta law gives a cheap approximation.
+interferers; ``_conditional_success`` evaluates it for one sampled network,
+for the simulator's closed-form conditional route. Its moments of any complex
+order come out of the planar probability generating functional as a single
+radial integral; inverting the imaginary-order moments recovers the full
+distribution, and matching two real moments to a beta law gives a cheap
+approximation.
 
 The inversion (Gil-Pelaez) integrates Im(e^{-ju ln x} M(ju))/u over u >= 0 by
 the trapezoid rule, on a u grid built once per (network, allocation, k, theta)
@@ -27,9 +29,13 @@ finer one has just confirmed it. All Gauss-Legendre nodes come from Newton's
 method on the Legendre recurrence, with no eigensolver. A moment at u = a + b,
 with a the start of u's block, reuses the block start's terms, so sin and cos
 run once per block start and once per block offset rather than once per u. The
-sums over radial nodes that combine them are real matrix-vector products: a
-matrix-matrix product would start BLAS worker threads, which keep spinning
-after it returns and burn CPU time while Python runs.
+sums over radial nodes that combine them are real matrix-vector products, two
+per block offset. These still wake OpenBLAS's worker threads: on a 2-CPU host,
+fig3 took 34-85 ms of CPU for 29-50 ms of wall, and CPU equalled wall with one
+BLAS thread. One matrix-matrix product per chunk of block starts instead raised
+the ``figures`` benchmark's CPU time from 0.086 to 0.100 s at the same wall
+time (0.051 against 0.050 s, medians of 10 pairs), so the products stay per
+offset.
 
 Given the typical user's chunk set, the per-interferer factor reads one row
 of ``window_overlap_table``. Each distinct row gets its own radial profile,
@@ -166,6 +172,16 @@ def _sir_scales(net, k, theta, r, signal):
     return theta * (ts / k)[:, None] * ratio[None, :]
 
 
+def _conditional_success(net, ba, k, theta, distance, start, signal) -> float:
+    """Success probability of a type-k link given its interferers'
+    distances and its window start: a product of per-interferer factors
+    over the window's row of ``window_overlap_table``; 1 with no
+    interferers. ``signal`` is ``net.signal_attenuation()``."""
+    q = window_overlap_table(ba, k)[start]
+    scaled = _sir_scales(net, k, theta, distance, signal)
+    return float(np.prod(1.0 - _interference_discount(scaled, q)))
+
+
 def _log_survival(net, k, theta, r, q):
     """log(1 - h(r)) at finite attenuations: log1p(-h) where h <= 1/2, else
     log(q_0 + sum_t q_t / (1 + s_t)), which keeps a small 1 - h's digits."""
@@ -257,9 +273,8 @@ class _RadialProfile:
         entry. Each 1 - e^{jx} takes the half-angle form
         2 sin(x/2)^2 - 2j sin(x/2) cos(x/2), which does not cancel on the far
         tail, where x is tiny. The sums over r are real matrix-vector
-        products, two per offset on a chunk of starts: a matrix-matrix
-        product would start BLAS worker threads that keep spinning after it
-        returns.
+        products, two per offset on a chunk of starts, which cost less CPU
+        time than one matrix-matrix product per chunk (module docstring).
         """
         weight = self._weight
         half_angle = 0.5 * self._log_factor

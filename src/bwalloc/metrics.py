@@ -72,13 +72,6 @@ def bounded_interference_constant(net: NetworkParams) -> float:
 
 
 @lru_cache(maxsize=None)
-def _weighted_rows(ba: BandwidthConfig, k: int) -> np.ndarray:
-    """Rows t = 1..k of ``window_overlap_table`` (disjoint chunk sets do not
-    interfere), each entry times its interference weight t / k."""
-    return window_overlap_table(ba, k)[:, 1:] * (np.arange(1, k + 1) / k)
-
-
-@lru_cache(maxsize=None)
 def _log_success(net: NetworkParams, ba: BandwidthConfig, k: int):
     """Map from a column of thresholds to the (theta x row) matrix of log
     P(SIR > theta | typical chunk set), each entry from its own threshold
@@ -86,7 +79,10 @@ def _log_success(net: NetworkParams, ba: BandwidthConfig, k: int):
     pl, ratio = net.pathloss, np.arange(1, k + 1) / k
     d = pl.delta
     if pl.is_bounded:
-        rows, c0, minus_b = _weighted_rows(ba, k), pl.c0, -bounded_interference_constant(net)
+        # rows t = 1..k (disjoint chunk sets do not interfere), each entry
+        # times its interference weight t / k
+        rows = window_overlap_table(ba, k)[:, 1:] * ratio
+        c0, minus_b = pl.c0, -bounded_interference_constant(net)
         spread = ratio * (c0 + net.link_distance**pl.alpha)
         return lambda column: (
             minus_b * column * np.einsum("st,qt->qs", rows, (column * spread + c0) ** (d - 1.0))

@@ -74,16 +74,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .allocation import (
-    _check_type,
-    _sample_overlaps,
-    _types_of,
-    _window_starts,
-    sample_type,
-    window_overlap_table,
-)
+from .allocation import _check_type, _sample_overlaps, _types_of, _typical_start, sample_type
 from .errors import ConfigError, DomainError
-from .metadist import _check_theta, _check_x, _interference_discount, _sir_scales
+from .metadist import _check_theta, _check_x, _conditional_success
 from .metrics import _check_theta as _success_theta
 from .params import (
     AllocationMode,
@@ -123,8 +116,10 @@ class SimConfig:
 
     ``window_radius`` is the simulation disk radius around the receiver;
     ``None`` selects 50 link distances, and anything below 10 link distances
-    is rejected at sampling time since truncation would no longer be
-    negligible against statistical noise.
+    is rejected at sampling time. Truncation to a larger disk is not
+    negligible either for alpha <= 3: the estimates then follow the closed
+    form restricted to the disk, not the closed forms over the plane
+    (README, "Simulation disk").
     """
 
     n_realizations: int = 10_000
@@ -263,7 +258,7 @@ def conditional_success_prob(
 
     Both routes hold the distances and the typical window (``typical_start``
     in contiguous mode) fixed. The closed-form route averages fading and the
-    interferers' chunk draws exactly (``_closed_form_conditional``). The
+    interferers' chunk draws exactly (``metadist._conditional_success``). The
     empirical route redraws the interferers' types, shared-chunk counts and
     fading.
     """
@@ -278,7 +273,7 @@ def conditional_success_prob(
         return 1.0
     start = real.typical_start if ba.mode is AllocationMode.CONTIGUOUS else 0
     if mode is ConditionalMode.CLOSED_FORM_GIVEN_PHI:
-        return _closed_form_conditional(net, ba, k, theta, dist, start, net.signal_attenuation())
+        return _conditional_success(net, ba, k, theta, dist, start, net.signal_attenuation())
 
     attenuation = net.pathloss.attenuation(dist)
     signal_scale = k * net.signal_attenuation()
@@ -296,16 +291,6 @@ def conditional_success_prob(
     return hits / n_fading_draws
 
 
-def _closed_form_conditional(net, ba, k, theta, distance, start, signal) -> float:
-    """Success probability of a type-k link given its interferers'
-    distances and its window start: a product of per-interferer factors
-    over the window's row of ``window_overlap_table``; 1 with no
-    interferers. ``signal`` is ``net.signal_attenuation()``."""
-    q = window_overlap_table(ba, k)[start]
-    scaled = _sir_scales(net, k, theta, distance, signal)
-    return float(np.prod(1.0 - _interference_discount(scaled, q)))
-
-
 def _networks(
     net: NetworkParams, ba: BandwidthConfig, sim: SimConfig, k: int | None, lo: int, hi: int
 ):
@@ -314,14 +299,13 @@ def _networks(
     window's uniform, the types' uniforms, the overlaps' uniforms).
 
     The typical type is drawn from the mix only when ``k`` is None, so
-    every fixed type sees the same draws. The distances are uniform in the
-    disk, drawn as radius * sqrt(U); no angles are drawn. After the
-    interferer count, the uniforms of the distances, the types, the typical
-    window (contiguous mode only; None in random mode) and the overlaps are
-    one ``rng.random`` block, which is the stream that separate calls draw.
+    every fixed type sees the same draws; a fixed ``k`` is checked by the
+    caller. The distances are uniform in the disk, drawn as radius *
+    sqrt(U); no angles are drawn. After the interferer count, the uniforms
+    of the distances, the types, the typical window (contiguous mode only;
+    None in random mode) and the overlaps are one ``rng.random`` block,
+    which is the stream that separate calls draw.
     """
-    if k is not None:
-        k = _check_type(ba.n_chunks, k, "k")
     radius = _window(net, sim)
     mean_count = net.intensity * math.pi * radius * radius
     random = ba.mode is AllocationMode.RANDOM
@@ -337,12 +321,6 @@ def _networks(
             rng, k_typ, radius * np.sqrt(u[:count]), u_start,
             u[count : 2 * count], u[2 * count + window :],
         )
-
-
-def _typical_start(ba: BandwidthConfig, k: int, u_start) -> int:
-    """The window start that ``u_start`` places a type-k typical user at;
-    0 in random mode."""
-    return 0 if u_start is None else int(_window_starts(ba.n_chunks, k, u_start))
 
 
 def _realizations(
@@ -610,7 +588,7 @@ def estimate_meta_distribution(
     def block(lo, hi):
         if closed_form:
             conditional = (
-                _closed_form_conditional(
+                _conditional_success(
                     net, ba, k_typ, theta, distance, _typical_start(ba, k_typ, u_start), signal
                 )
                 for _, k_typ, distance, u_start, _, _ in _networks(net, ba, sim, k, lo, hi)

@@ -78,9 +78,10 @@ def _definitions(tree: ast.Module):
 #: marks, the realization loop, its marks draw, the loop statistics' pass,
 #: and the chunk model's samplers in ``allocation``.
 SAMPLING_PATH = {
-    "simulate.py": ("_networks", "_typical_start", "_realizations", "_marks", "_received"),
+    "simulate.py": ("_networks", "_realizations", "_marks", "_received"),
     "allocation.py": (
         "sample_type",
+        "_typical_start",
         "_types_of",
         "_type_law",
         "_overlap_law",
@@ -94,10 +95,9 @@ SAMPLING_PATH = {
 #: The mix-collapsed overlap table, the closed-form success kernel and the
 #: closed-form conditional success probability.
 CLOSED_FORMS = {
-    "_closed_form_conditional",
+    "_conditional_success",
     "window_overlap_table",
     "_window_overlap_table",
-    "_weighted_rows",
     "_log_success",
     "_success_probs",
 }
@@ -115,6 +115,34 @@ def closed_form_loads(modules: dict[str, ast.Module]) -> list[str]:
             loads = _loaded(functions[function]) & CLOSED_FORMS
             found += [f"{name} {function} {load}" for load in sorted(loads)]
     return found
+
+
+#: What ``simulate.py`` reaches only through another module's helper: the
+#: overlap table and the closed-form factors (through
+#: ``metadist._conditional_success``), the window draw (through
+#: ``allocation._typical_start``) and the success kernel.
+SIMULATE_BOUNDARY = {
+    "window_overlap_table",
+    "_sir_scales",
+    "_interference_discount",
+    "_window_starts",
+    "_log_success",
+    "_success_probs",
+}
+
+
+def boundary_crossings(modules: dict[str, ast.Module]) -> list[str]:
+    """Each name of ``SIMULATE_BOUNDARY`` that ``simulate.py`` imports (by
+    its own name, also under an alias) or loads."""
+    tree = modules["simulate.py"]
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    crossings = (_loaded(tree) | imported) & SIMULATE_BOUNDARY
+    return [f"simulate.py {name}" for name in sorted(crossings)]
 
 
 def _calls_fork(node: ast.AST) -> bool:
@@ -207,6 +235,25 @@ def test_closed_form_check_flags_a_planted_load(tmp_path):
     )
     assert closed_form_loads(_modules(tmp_path)) == [
         "simulate.py _realizations window_overlap_table"
+    ]
+
+
+def test_simulate_reaches_the_chunk_model_and_closed_forms_through_helpers():
+    assert boundary_crossings(_modules()) == []
+
+
+def test_boundary_check_flags_a_planted_load(tmp_path):
+    (tmp_path / "simulate.py").write_text(
+        "from . import allocation\nfrom .metadist import _sir_scales as scales\n\n\n"
+        "def _start(ba, k, u):\n    return allocation._window_starts(ba.n_chunks, k, u)\n\n\n"
+        "def _closed(net, k, theta, r, s):\n    return scales(net, k, theta, r, s)\n\n\n"
+        "class Check:\n    def success(self, net, ba, k, thetas):\n"
+        "        return _success_probs(net, ba, k, thetas)\n"
+    )
+    assert boundary_crossings(_modules(tmp_path)) == [
+        "simulate.py _sir_scales",
+        "simulate.py _success_probs",
+        "simulate.py _window_starts",
     ]
 
 
